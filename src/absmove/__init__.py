@@ -13,6 +13,7 @@ from .bilp import (
     Placement,
     assemble,
     coverage_rate,
+    covered_weight,
     evaluate_placement,
     feasible_sets,
     make_placement,

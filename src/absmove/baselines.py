@@ -13,9 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bilp import BilpInstance, FeasibleSets, Placement, evaluate_placement, make_placement
+from .bilp import (
+    BilpInstance,
+    FeasibleSets,
+    Placement,
+    covered_weight,
+    evaluate_placement,
+    make_placement,
+    occupied_grids,
+)
 from .errors import InfeasibleSetError, OracleCapError
-from .gcm import Gcm, abs_cell_centers, cell_center_abs, gu_cells_of_positions
+from .gcm import Gcm, abs_cell_centers, cell_center_abs
 
 
 @dataclass(frozen=True)
@@ -141,21 +149,25 @@ def kmeans_centroids(gu_positions, n: int, seed: int = 0) -> np.ndarray:
     return centroids
 
 
-def kmeans_init(gu_positions, n_abs: int, gcm: Gcm, seed: int = 0) -> Placement:
-    """Snap K-means centroids of the GU cloud to distinct valid ABS cells."""
+def kmeans_init(gu_positions, n_abs: int, gcm: Gcm, seed: int = 0, pools=None) -> Placement:
+    """Snap K-means centroids of the GU cloud to distinct ABS cells.
+
+    Centroid i takes the cell of ``pools[i]`` (1-based cell ids, every valid
+    cell by default) nearest to it that no earlier centroid took.
+    """
     centroids = kmeans_centroids(gu_positions, n_abs, seed)
+    if pools is None:
+        pools = [np.flatnonzero(gcm.abs_cell_valid) + 1] * n_abs
     centers = abs_cell_centers(gcm.spec)[:, :2]
-    valid_ids = np.flatnonzero(gcm.abs_cell_valid) + 1
-    if len(valid_ids) < n_abs:
-        raise ValueError("fewer valid cells than ABSs")
     cells: list[int] = []
-    for c in centroids:
-        d = np.hypot(centers[valid_ids - 1, 0] - c[0], centers[valid_ids - 1, 1] - c[1])
+    for i, (c, ids) in enumerate(zip(centroids, pools)):
+        d = np.hypot(centers[ids - 1, 0] - c[0], centers[ids - 1, 1] - c[1])
         for t in np.argsort(d, kind="stable"):
-            cell = int(valid_ids[t])
-            if cell not in cells:
-                cells.append(cell)
+            if int(ids[t]) not in cells:
+                cells.append(int(ids[t]))
                 break
+        else:
+            raise InfeasibleSetError(f"no distinct cell left for ABS {i}")
     value = evaluate_placement(gcm, cells, gu_positions)
     return make_placement(gcm.spec, cells, value)
 
@@ -184,14 +196,8 @@ def ea_step(
     rng = np.random.default_rng(cfg.seed)
     centers = abs_cell_centers(gcm.spec)[:, :2]
     n = len(current.abs_cells)
-    v_ids, counts = np.unique(
-        gu_cells_of_positions(gcm.spec, np.atleast_2d(np.asarray(gu_positions, float))),
-        return_counts=True,
-    )
+    v_ids, counts = occupied_grids(gcm.spec, gu_positions)
     z_cols = gcm.z[:, v_ids - 1]
-
-    def value_of(cells: list[int]) -> int:
-        return int(counts @ z_cols[np.asarray(cells) - 1].any(axis=0))
 
     def pool_of(cell: int, n_idx: int) -> np.ndarray:
         c = cell_center_abs(gcm.spec, cell)[:2]
@@ -221,7 +227,7 @@ def ea_step(
                 cand.append(cell)
             if len(cand) != n:
                 continue
-            val = value_of(cand)
+            val = covered_weight(z_cols, np.asarray(cand) - 1, counts)
             if val > best_val:
                 best_cells, best_val = cand, val
     return make_placement(gcm.spec, best_cells, best_val)

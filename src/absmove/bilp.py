@@ -5,13 +5,15 @@ occupied ground grid v is covered and a_u that traversal cell u is selected.
 The inequality system E x <= l stacks, in order: one total-count row, one
 reachability row per ABS, one row per (selected-cell, grid) pair tying C_v to
 a_u, and one row per grid tying C_v to the selected cells that cover it.
-Binary bounds are left to the solvers.
+Binary bounds are left to the solvers. E is the reference encoding: the
+solvers work from the connectivity block z_sub, and E is built only when a
+caller asks for it (the dual objective and the test oracles).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -86,19 +88,40 @@ def feasible_sets(
     return FeasibleSets(per_abs=tuple(per_abs), union=union, radius=float(radius))
 
 
+def covered_weight(z: np.ndarray, rows, weights, cols=None) -> int:
+    """Total weight of the columns of the boolean map ``z`` (0-based traversal
+    cells as rows) that at least one of ``rows`` covers, keeping only ``cols``
+    when given. The package's one coverage count; no rows cover nothing."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size == 0:
+        return 0
+    hit = z[rows] if cols is None else z[rows][:, cols]
+    return int(weights @ hit.any(axis=0))
+
+
+def occupied_grids(spec: GridSpec, gu_positions, weight_multiplicity: bool = True):
+    """Occupied ground grid ids (sorted, 1-based) and their objective weights.
+
+    With ``weight_multiplicity`` a grid weighs its GU count, so covering every
+    grid scores M; without it every occupied grid weighs 1.
+    """
+    gu_positions = np.atleast_2d(np.asarray(gu_positions, dtype=float))
+    v_ids, counts = np.unique(gu_cells_of_positions(spec, gu_positions), return_counts=True)
+    weights = counts.astype(np.int64) if weight_multiplicity else np.ones(len(v_ids), np.int64)
+    return v_ids, weights
+
+
 @dataclass(eq=False)
 class BilpInstance:
-    """Sparse instance data plus the index maps needed to decode solutions.
+    """Instance data plus the index maps needed to decode solutions.
 
     Column k < n_v is C for grid ``v_ids[k]`` (weight ``weights[k]``); column
-    n_v + t is a for traversal cell ``u_ids[t]``. ``d`` is ``l`` divided by
-    the variable count, matching the per-variable split of the dual objective.
+    n_v + t is a for traversal cell ``u_ids[t]``. The solvers read ``z_sub``,
+    ``weights`` and ``per_abs_pos`` directly. The reference encoding ``e``,
+    ``r``, ``l`` and ``d`` (``l`` divided by the variable count, matching the
+    per-variable split of the dual objective) is built on first access only.
     """
 
-    e: sparse.csc_matrix
-    r: np.ndarray
-    l: np.ndarray
-    d: np.ndarray
     n_abs: int
     u_ids: np.ndarray
     v_ids: np.ndarray
@@ -124,12 +147,50 @@ class BilpInstance:
     def n_rows(self) -> int:
         return 1 + self.n_abs + self.n_u * self.n_v + self.n_v
 
-    def coverage_of(self, u_positions) -> int:
-        """Weighted covered count for cells given as positions into u_ids."""
-        pos = np.asarray(u_positions, dtype=int)
-        if pos.size == 0:
-            return 0
-        return int(self.weights @ self.z_sub[pos].any(axis=0))
+    @cached_property
+    def e(self) -> sparse.csc_matrix:
+        n_abs, n_u, n_v = self.n_abs, self.n_u, self.n_v
+        rows: list[np.ndarray] = []
+        cols: list[np.ndarray] = []
+        data: list[np.ndarray] = []
+
+        def put(r_, c_, v_):
+            rows.append(np.asarray(r_, dtype=np.int64).ravel())
+            cols.append(np.asarray(c_, dtype=np.int64).ravel())
+            data.append(np.asarray(v_, dtype=float).ravel())
+
+        # Total selected cells <= N.
+        put(np.zeros(n_u), n_v + np.arange(n_u), np.ones(n_u))
+        # At least one selected cell per ABS, as -sum <= -1.
+        for n, pos in enumerate(self.per_abs_pos):
+            put(np.full(len(pos), 1 + n), n_v + pos, -np.ones(len(pos)))
+        # Pair rows: z_uv * a_u - C_v <= 0, laid out cell-major.
+        base = 1 + n_abs
+        put(base + np.arange(n_u * n_v), np.tile(np.arange(n_v), n_u), -np.ones(n_u * n_v))
+        zu, zv = np.nonzero(self.z_sub)
+        put(base + zu * n_v + zv, n_v + zu, np.ones(len(zu)))
+        # Cover rows: C_v - sum_u z_uv a_u <= 0.
+        base2 = 1 + n_abs + n_u * n_v
+        put(base2 + np.arange(n_v), np.arange(n_v), np.ones(n_v))
+        put(base2 + zv, n_v + zu, -np.ones(len(zu)))
+        return sparse.coo_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(self.n_rows, self.n_cols),
+        ).tocsc()
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        return np.concatenate([self.weights.astype(float), np.zeros(self.n_u)])
+
+    @cached_property
+    def l(self) -> np.ndarray:
+        return np.concatenate(
+            [[float(self.n_abs)], -np.ones(self.n_abs), np.zeros(self.n_u * self.n_v + self.n_v)]
+        )
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        return self.l / self.n_cols
 
     def positions_of_cells(self, cells) -> np.ndarray:
         """Map 1-based traversal cell ids to positions in u_ids."""
@@ -147,11 +208,10 @@ def assemble(
     n_abs: int,
     weight_multiplicity: bool = True,
 ) -> BilpInstance:
-    """Build E, r, l, d for the current GU snapshot and feasible sets.
+    """Instance for the current GU snapshot and feasible sets.
 
-    Only occupied ground grids get C columns. With ``weight_multiplicity``
-    each grid's objective weight is its GU count, so a full cover scores M;
-    without it every occupied grid weighs 1.
+    Only occupied ground grids get C columns, weighted as ``occupied_grids``
+    says.
     """
     if n_abs < 1:
         raise ValueError("n_abs must be at least 1")
@@ -160,54 +220,13 @@ def assemble(
             f"feasible sets built for {len(fs.per_abs)} ABSs, instance needs {n_abs}"
         )
     gu_positions = np.atleast_2d(np.asarray(gu_positions, dtype=float))
-    spec = gcm.spec
-    v_all = gu_cells_of_positions(spec, gu_positions)
-    v_ids, counts = np.unique(v_all, return_counts=True)
-    weights = counts.astype(np.int64) if weight_multiplicity else np.ones(len(v_ids), np.int64)
-
+    v_ids, weights = occupied_grids(gcm.spec, gu_positions, weight_multiplicity)
     u_ids = fs.union.astype(np.int64)
-    n_v, n_u = len(v_ids), len(u_ids)
-    n_cols = n_v + n_u
-    n_rows = 1 + n_abs + n_u * n_v + n_v
-    z_sub = gcm.z[np.ix_(u_ids - 1, v_ids - 1)]
-    per_abs_pos = tuple(np.searchsorted(u_ids, ids) for ids in fs.per_abs)
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    data: list[np.ndarray] = []
-
-    def put(r_, c_, v_):
-        rows.append(np.asarray(r_, dtype=np.int64).ravel())
-        cols.append(np.asarray(c_, dtype=np.int64).ravel())
-        data.append(np.asarray(v_, dtype=float).ravel())
-
-    # Total selected cells <= N.
-    put(np.zeros(n_u), n_v + np.arange(n_u), np.ones(n_u))
-    # At least one selected cell per ABS, as -sum <= -1.
-    for n, pos in enumerate(per_abs_pos):
-        put(np.full(len(pos), 1 + n), n_v + pos, -np.ones(len(pos)))
-    # Pair rows: z_uv * a_u - C_v <= 0, laid out cell-major.
-    base = 1 + n_abs
-    pair_rows = base + np.arange(n_u * n_v)
-    put(pair_rows, np.tile(np.arange(n_v), n_u), -np.ones(n_u * n_v))
-    zu, zv = np.nonzero(z_sub)
-    put(base + zu * n_v + zv, n_v + zu, np.ones(len(zu)))
-    # Cover rows: C_v - sum_u z_uv a_u <= 0.
-    base2 = 1 + n_abs + n_u * n_v
-    put(base2 + np.arange(n_v), np.arange(n_v), np.ones(n_v))
-    put(base2 + zv, n_v + zu, -np.ones(len(zu)))
-
-    e = sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_rows, n_cols),
-    ).tocsc()
-    r = np.concatenate([weights.astype(float), np.zeros(n_u)])
-    l = np.concatenate([[float(n_abs)], -np.ones(n_abs), np.zeros(n_u * n_v + n_v)])
-    d = l / n_cols
     return BilpInstance(
-        e=e, r=r, l=l, d=d, n_abs=n_abs, u_ids=u_ids, v_ids=v_ids,
-        weights=weights, z_sub=z_sub, per_abs_pos=per_abs_pos, spec=spec,
-        total_gus=len(gu_positions),
+        n_abs=n_abs, u_ids=u_ids, v_ids=v_ids, weights=weights,
+        z_sub=gcm.z[np.ix_(u_ids - 1, v_ids - 1)],
+        per_abs_pos=tuple(np.searchsorted(u_ids, ids) for ids in fs.per_abs),
+        spec=gcm.spec, total_gus=len(gu_positions),
     )
 
 
@@ -215,15 +234,8 @@ def evaluate_placement(
     gcm: Gcm, cells, gu_positions, weight_multiplicity: bool = True
 ) -> int:
     """Weighted count of GUs whose ground grid is covered by some cell."""
-    cells = np.asarray(cells, dtype=np.int64)
-    if cells.size == 0:
-        return 0
-    gu_positions = np.atleast_2d(np.asarray(gu_positions, dtype=float))
-    v_ids, counts = np.unique(gu_cells_of_positions(gcm.spec, gu_positions), return_counts=True)
-    if not weight_multiplicity:
-        counts = np.ones_like(counts)
-    covered = gcm.z[cells - 1][:, v_ids - 1].any(axis=0)
-    return int(counts @ covered)
+    v_ids, weights = occupied_grids(gcm.spec, gu_positions, weight_multiplicity)
+    return covered_weight(gcm.z, np.asarray(cells, dtype=np.int64) - 1, weights, v_ids - 1)
 
 
 def coverage_rate(covered: float, total_gus: int) -> float:
@@ -233,38 +245,3 @@ def coverage_rate(covered: float, total_gus: int) -> float:
     if not 0 <= covered <= total_gus:
         raise ValueError(f"covered count {covered} outside [0, {total_gus}]")
     return covered / total_gus
-
-
-def dump_instance(instance: BilpInstance, path) -> None:
-    """Debug dump: coordinate triplets of E plus a row/column legend."""
-    lines = [
-        "# placement subproblem dump",
-        f"# rows {instance.n_rows} cols {instance.n_cols} nnz {instance.e.nnz}",
-        "# columns: C <grid id> <weight> | a <cell id>",
-    ]
-    for k, v in enumerate(instance.v_ids):
-        lines.append(f"col {k} C {v} {instance.weights[k]}")
-    for t, u in enumerate(instance.u_ids):
-        lines.append(f"col {instance.n_v + t} a {u}")
-    lines.append("# rows: total | abs <n> | pair <cell id> <grid id> | cover <grid id>")
-    lines.append("row 0 total")
-    for n in range(instance.n_abs):
-        lines.append(f"row {1 + n} abs {n}")
-    base = 1 + instance.n_abs
-    for t, u in enumerate(instance.u_ids):
-        for k, v in enumerate(instance.v_ids):
-            lines.append(f"row {base + t * instance.n_v + k} pair {u} {v}")
-    base2 = base + instance.n_u * instance.n_v
-    for k, v in enumerate(instance.v_ids):
-        lines.append(f"row {base2 + k} cover {v}")
-    coo = instance.e.tocoo()
-    lines.append("# entries: row col value; then rhs")
-    for i, j, val in zip(coo.row, coo.col, coo.data):
-        lines.append(f"e {i} {j} {val!r}")
-    for i, val in enumerate(instance.l):
-        if val != 0.0:
-            lines.append(f"l {i} {val!r}")
-    for j, val in enumerate(instance.r):
-        if val != 0.0:
-            lines.append(f"r {j} {val!r}")
-    Path(path).write_text("\n".join(lines) + "\n")

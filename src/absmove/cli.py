@@ -78,32 +78,51 @@ def _build_env(cfg: dict, env_seed: int) -> Environment:
         raise ConfigError(str(exc)) from exc
 
 
+def _write_cache_entry(gcm: Gcm, gcm_path: Path, key: str) -> Path:
+    """Write the sidecar, then the map, each to a temp file moved into place.
+
+    A run killed part-way leaves at worst a sidecar without its map, which
+    the next run simply rebuilds over; never a map without its sidecar.
+    Returns the sidecar path.
+    """
+    sidecar = Path(str(gcm_path) + ".json")
+    tmp = Path(str(sidecar) + ".tmp")
+    tmp.write_text(json.dumps({"format": _SIDECAR_FORMAT, "version": 1, "key": key},
+                              sort_keys=True) + "\n")
+    os.replace(tmp, sidecar)
+    tmp = Path(str(gcm_path) + ".tmp")
+    save_gcm(gcm, tmp)
+    os.replace(tmp, gcm_path)
+    return sidecar
+
+
 def _gcm_for(cfg: dict, tc: TrialConfig, env: Environment, cache_dir: Path | None) -> Gcm:
     """Build the connectivity map, or reuse a cache entry with a matching key.
 
-    A cache file whose sidecar is absent or disagrees with the config hash is
-    a hard error; stale maps must never be consumed silently.
+    A cache file whose sidecar is absent, unreadable or disagrees with the
+    config hash is a hard error; stale maps must never be consumed silently.
     """
     if cache_dir is None:
         return build_gcm(env, tc.channel, tc.spec)
     key = gcm_cache_key(cfg, tc.env_seed)
     gcm_path = cache_dir / f"{key[:16]}.gcm"
-    sidecar = gcm_path.with_suffix(".gcm.json")
+    sidecar = Path(str(gcm_path) + ".json")
     if gcm_path.exists():
         if not sidecar.exists():
             raise FileFormatError(f"cache entry {gcm_path} has no sidecar; refusing to reuse")
-        meta = json.loads(sidecar.read_text())
-        if meta.get("format") != _SIDECAR_FORMAT or meta.get("key") != key:
+        try:
+            meta = json.loads(sidecar.read_text())
+        except ValueError:  # not JSON, or not text at all
+            meta = None
+        if not isinstance(meta, dict) or (meta.get("format"), meta.get("key")) != (_SIDECAR_FORMAT, key):
             raise FileFormatError(
-                f"cache entry {gcm_path} does not match the current config; "
-                "delete it or change the output directory"
+                f"cache entry {gcm_path} has an unreadable sidecar or does not match the "
+                "current config; delete it or change the output directory"
             )
         return load_gcm(gcm_path)
     gcm = build_gcm(env, tc.channel, tc.spec)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    save_gcm(gcm, gcm_path)
-    sidecar.write_text(json.dumps({"format": _SIDECAR_FORMAT, "version": 1, "key": key},
-                                  sort_keys=True) + "\n")
+    _write_cache_entry(gcm, gcm_path, key)
     return gcm
 
 
@@ -139,11 +158,7 @@ def cmd_build_gcm(args) -> int:
     gcm = build_gcm(env, tc.channel, tc.spec)
     out = _out_root(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_gcm(gcm, out)
-    key = gcm_cache_key(cfg, tc.env_seed)
-    sidecar = Path(str(out) + ".json")
-    sidecar.write_text(json.dumps({"format": _SIDECAR_FORMAT, "version": 1, "key": key},
-                                  sort_keys=True) + "\n")
+    sidecar = _write_cache_entry(gcm, out, gcm_cache_key(cfg, tc.env_seed))
     n_valid = int(gcm.abs_cell_valid.sum())
     print(f"wrote {out} ({n_valid}/{tc.spec.n_abs_cells} valid cells) and {sidecar}")
     return 0

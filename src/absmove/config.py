@@ -57,8 +57,6 @@ DEFAULTS: dict = {
     "solver": {
         "name": "online",
         "duplication": 3,
-        "step_size": None,
-        "tie_high": False,
         "ea_rounds": 3000,
         "ea_mutants": 1,
         "ea_mutation_radius": None,
@@ -186,8 +184,6 @@ def parse_trial_config(
             solver=SolverConfig(
                 name=str(sol["name"]),
                 duplication=int(sol["duplication"]),
-                step_size=None if sol["step_size"] is None else float(sol["step_size"]),
-                tie_high=bool(sol["tie_high"]),
                 ea_rounds=int(sol["ea_rounds"]),
                 ea_mutants=int(sol["ea_mutants"]),
                 ea_mutation_radius=(
@@ -237,9 +233,6 @@ def parse_experiment(cfg: dict) -> ExperimentSpec:
     solvers = tuple(str(s) for s in exp["solvers"])
     if not solvers:
         raise ConfigError("experiment.solvers must be nonempty")
-    for s in solvers:
-        if s not in ("online", "oracle", "kmeans-ea"):
-            raise ConfigError(f"unknown solver {s!r} in experiment.solvers")
     axis = exp["sweep"]["axis"]
     values = tuple(exp["sweep"]["values"])
     if axis is not None:
@@ -247,8 +240,11 @@ def parse_experiment(cfg: dict) -> ExperimentSpec:
             raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
         if not values:
             raise ConfigError("sweep.values must be nonempty when an axis is set")
-        for v in values:
-            apply_sweep(cfg, axis, v)  # validates each value
+    # Parse every solver x sweep value once, so an unknown solver or an
+    # impossible combination fails here, before any trial of the batch runs.
+    for combo in [cfg] if axis is None else [apply_sweep(cfg, axis, v) for v in values]:
+        for name in solvers:
+            parse_trial_config(combo, solver_name=name)
     return ExperimentSpec(
         base=cfg,
         seeds=seeds,

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bilp import BilpInstance, FeasibleSets, Placement, make_placement
+from .bilp import BilpInstance, FeasibleSets, Placement, covered_weight, make_placement
 from .errors import InfeasibleSetError
 
 
@@ -67,16 +67,16 @@ def dual_objective(instance: BilpInstance, y: np.ndarray) -> float:
 def gap_bound(instance: BilpInstance, duplication: int) -> float:
     """A-priori bound on the expected optimality gap of the best restart.
 
-    Scales the standard subgradient suboptimality estimate by the matrix
-    magnitude and shrinks with the square root of the restart count.
+    Scales the standard subgradient suboptimality estimate by the magnitudes
+    of E and d, and shrinks with the square root of the restart count. Every
+    entry of E is +-1 and the largest |d| is N / n_cols, so the bound follows
+    from the instance sizes alone.
     """
     if duplication < 1:
         raise ValueError("duplication must be at least 1")
-    e_max = float(np.abs(instance.e.data).max()) if instance.e.nnz else 0.0
-    d_max = float(np.abs(instance.d).max()) if len(instance.d) else 0.0
     return (
         instance.n_rows
-        * (e_max + d_max) ** 2
+        * (1.0 + instance.n_abs / instance.n_cols) ** 2
         * math.sqrt(instance.n_cols)
         / math.sqrt(duplication)
     )
@@ -85,35 +85,58 @@ def gap_bound(instance: BilpInstance, duplication: int) -> float:
 def _greedy_pass(
     instance: BilpInstance,
     rng: np.random.Generator,
-    alpha: float,
-    tie_high: bool,
     track_dual: bool,
 ) -> tuple[np.ndarray, list[float]]:
-    """One randomized fixing pass; returns the binary x and dual trace."""
-    e = instance.e
-    indptr, indices, data = e.indptr, e.indices, e.data
+    """One randomized fixing pass; returns the binary x and dual trace.
+
+    Each column in turn is taken when its reward beats its price against the
+    row multipliers y (a walk over E's columns), then y takes one projected
+    subgradient step of size alpha = 1/sqrt(n_cols). The rows a column
+    touches are read from z_sub and the pools, and y is held exactly in
+    integer units of alpha / n_cols: a step moves the total row by -N and
+    each ABS row by +1, a take moves the rows by n_cols times E's entries,
+    and pair and cover rows only ever hold 0 or n_cols. C_v's price is never
+    positive (only C_v raises its cover row), so it is always taken. a_t's
+    pair rows are still 0 when it is priced, so its price is the total row
+    minus its ABS rows minus n_cols per grid it covers whose cover row is
+    raised; a_t is taken when that is negative.
+    """
+    n_v, n_u, n_cols = instance.n_v, instance.n_u, instance.n_cols
     n_head = 1 + instance.n_abs
-    d_head = instance.d[:n_head]
-    y = np.zeros(instance.n_rows)
-    x = np.zeros(instance.n_cols, dtype=np.int8)
+    alpha = 1.0 / math.sqrt(n_cols)
+    # One row-space vector, laid out as E's rows are.
+    y = np.zeros(instance.n_rows, dtype=np.int64)
+    head = y[:n_head]
+    pair = y[n_head:n_head + n_u * n_v].reshape(n_u, n_v)
+    cover = y[n_head + n_u * n_v:]
+    drift = np.array([-instance.n_abs] + [1] * instance.n_abs, dtype=np.int64)
+    # Head-row entries of each a column: +1 on the total row, -1 on the row
+    # of every ABS whose pool holds the cell.
+    touch = np.zeros((n_u, n_head), dtype=np.int64)
+    touch[:, 0] = 1
+    for n, pos in enumerate(instance.per_abs_pos):
+        touch[pos, 1 + n] = -1
+    covers = np.nonzero(instance.z_sub)[1]
+    ptr = np.concatenate([[0], np.cumsum(instance.z_sub.sum(axis=1))]).tolist()
+    x = np.zeros(n_cols, dtype=np.int8)
     trace: list[float] = []
-    for j in rng.permutation(instance.n_cols):
-        lo, hi = indptr[j], indptr[j + 1]
-        idx = indices[lo:hi]
-        vals = data[lo:hi]
-        price = vals @ y[idx]
-        take = instance.r[j] >= price if tie_high else instance.r[j] > price
-        if take:
+    for j in rng.permutation(n_cols):
+        if j < n_v:
             x[j] = 1
-            y[idx] += alpha * vals
-        # d is supported on the head rows only, so each iteration touches
-        # O(nnz(column) + N) entries. Project after both increments.
-        y[:n_head] -= alpha * d_head
-        y[:n_head] = np.maximum(y[:n_head], 0.0)
-        if take:
-            y[idx] = np.maximum(y[idx], 0.0)
+            cover[j] = n_cols
+            pair[:, j] = 0
+        else:
+            t = j - n_v
+            vs = covers[ptr[t]:ptr[t + 1]]
+            if touch[t] @ head < cover[vs].sum():
+                x[j] = 1
+                head += n_cols * touch[t]
+                pair[t, vs] = n_cols
+                cover[vs] = 0
+        head += drift
+        np.maximum(head, 0, out=head)
         if track_dual:
-            trace.append(dual_objective(instance, y))
+            trace.append(dual_objective(instance, y * alpha / n_cols))
     return x, trace
 
 
@@ -132,9 +155,6 @@ def decode_and_repair(x: np.ndarray, instance: BilpInstance, fs: FeasibleSets) -
     z = instance.z_sub
     w = instance.weights
     selected = list(np.flatnonzero(x[instance.n_v:] != 0))
-
-    def cov(pos_list) -> int:
-        return instance.coverage_of(np.array(pos_list, dtype=int))
 
     if len(selected) > n:
         # Grids covered exactly once pin their sole cell; dropping any other
@@ -211,17 +231,15 @@ def decode_and_repair(x: np.ndarray, instance: BilpInstance, fs: FeasibleSets) -
 
     final = [c for c in assign if c is not None]
     cells = instance.u_ids[np.array(final, dtype=int)]
-    return make_placement(instance.spec, cells, cov(final))
+    return make_placement(instance.spec, cells, covered_weight(z, final, w))
 
 
 def solve(
     instance: BilpInstance,
     fs: FeasibleSets,
     duplication: int = 3,
-    step_size: float | None = None,
     seed: int = 0,
     track_dual: bool = False,
-    tie_high: bool = False,
 ) -> SolverReport:
     """Best-of-K randomized greedy solve of the placement instance.
 
@@ -231,9 +249,6 @@ def solve(
     """
     if duplication < 1:
         raise ValueError("duplication must be at least 1")
-    alpha = 1.0 / math.sqrt(instance.n_cols) if step_size is None else float(step_size)
-    if alpha <= 0.0:
-        raise ValueError("step size must be positive")
     t0 = time.perf_counter()
     best: Placement | None = None
     best_k = 0
@@ -241,7 +256,7 @@ def solve(
     traces: list[tuple[float, ...]] = []
     for k in range(duplication):
         rng = np.random.default_rng([seed, k])
-        x, trace = _greedy_pass(instance, rng, alpha, tie_high, track_dual)
+        x, trace = _greedy_pass(instance, rng, track_dual)
         placement = decode_and_repair(x, instance, fs)
         values.append(placement.coverage_value)
         if track_dual:
@@ -257,7 +272,7 @@ def solve(
         best_restart=best_k,
         iterations=duplication * instance.n_cols,
         gap_bound=gap_bound(instance, duplication),
-        step_size=alpha,
+        step_size=1.0 / math.sqrt(instance.n_cols),
         duplication=duplication,
         seed=seed,
         elapsed_s=elapsed,

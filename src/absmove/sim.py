@@ -21,18 +21,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import EaConfig, ea_step, exact_optimum, kmeans_centroids
-from .bilp import FeasibleSets, Placement, assemble, evaluate_placement, feasible_sets, make_placement
+# kmeans_centroids stays importable here so tools can wrap each planning layer.
+from .baselines import EaConfig, ea_step, exact_optimum, kmeans_centroids, kmeans_init  # noqa: F401
+from .bilp import FeasibleSets, Placement, assemble, evaluate_placement, feasible_sets
 from .channel import ChannelParams, coverage_mask
 from .env import Environment, generate_environment, obstructed_mask
 from .errors import ConfigError, ContractViolationError, InfeasibleSetError
 from .gcm import (
     Gcm,
     GridSpec,
-    abs_cell_centers,
     build_gcm,
     cell_center_abs,
-    gu_cells_of_positions,
     nearest_valid_abs_cell,
 )
 from .online_solver import SolverReport, solve
@@ -62,8 +61,6 @@ class SolverConfig:
 
     name: str = "online"
     duplication: int = 3
-    step_size: float | None = None
-    tie_high: bool = False
     ea_rounds: int = 3000
     ea_mutants: int = 1
     ea_mutation_radius: float | None = None
@@ -129,6 +126,11 @@ class TrialConfig:
             raise ConfigError("total_time must be an integer number of periods")
         if self.n_abs < 1 or self.n_gus < 1:
             raise ConfigError("n_abs and n_gus must be at least 1")
+        if self.solver.name == "kmeans-ea" and self.n_gus < self.n_abs:
+            raise ConfigError(
+                f"kmeans-ea needs at least one GU per ABS to seed its clusters, "
+                f"got n_gus={self.n_gus} < n_abs={self.n_abs}"
+            )
         if self.abs_speed < 0 or self.gu_speed < 0:
             raise ConfigError("speeds must be non-negative")
         if abs(self.spec.abs_alt - self.channel.abs_alt) > 1e-9:
@@ -318,9 +320,7 @@ def plan_period(state: PlanState, gcm: Gcm, cfg: TrialConfig) -> PeriodRecord:
             instance,
             fs,
             duplication=sc.duplication,
-            step_size=sc.step_size,
             seed=_period_seed(cfg.solver_seed, state.period, 0),
-            tie_high=sc.tie_high,
         )
         placement = report.placement
     elapsed = time.perf_counter() - t0
@@ -353,22 +353,10 @@ def _kmeans_ea_plan(state: PlanState, gcm: Gcm, fs: FeasibleSets, cfg: TrialConf
     """Seed each ABS at the reachable cell nearest its GU-cluster centroid,
     then climb by mutation."""
     sc = cfg.solver
-    centroids = kmeans_centroids(
-        state.gu_positions, cfg.n_abs, _period_seed(cfg.solver_seed, state.period, 1)
+    start = kmeans_init(
+        state.gu_positions, cfg.n_abs, gcm,
+        seed=_period_seed(cfg.solver_seed, state.period, 1), pools=fs.per_abs,
     )
-    centers = abs_cell_centers(gcm.spec)[:, :2]
-    cells: list[int] = []
-    for i, c in enumerate(centroids):
-        ids = fs.per_abs[i]
-        d = np.hypot(centers[ids - 1, 0] - c[0], centers[ids - 1, 1] - c[1])
-        for t in np.argsort(d, kind="stable"):
-            if int(ids[t]) not in cells:
-                cells.append(int(ids[t]))
-                break
-        else:
-            raise InfeasibleSetError(f"no distinct reachable cell left for ABS {i}")
-    value = evaluate_placement(gcm, cells, state.gu_positions)
-    start = make_placement(gcm.spec, cells, value)
     ea_cfg = EaConfig(
         rounds=sc.ea_rounds,
         mutation_radius=fs.radius if sc.ea_mutation_radius is None else sc.ea_mutation_radius,
@@ -497,9 +485,7 @@ def run_trial(
         exclusion_bad += int(obstructed_mask(environment, xy, min_height=h).sum())
 
         snapped = [nearest_valid_abs_cell(gcm, p) for p in xy]
-        v_cells = gu_cells_of_positions(cfg.spec, gu_pos)
-        covered = gcm.z[np.array(snapped) - 1][:, v_cells - 1].any(axis=0)
-        cr_simpl[i - 1] = covered.mean()
+        cr_simpl[i - 1] = evaluate_placement(gcm, snapped, gu_pos) / m
 
         gu3 = np.column_stack([gu_pos, np.full(m, cfg.channel.gu_alt)])
         covered_act = np.zeros(m, dtype=bool)

@@ -190,6 +190,40 @@ def lp_optimum(instance) -> tuple[float, np.ndarray]:
     return -float(res.fun), np.clip(duals, 0.0, None)
 
 
+def integer_csc_walk(instance, order) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The dual subgradient fixing pass as a literal walk over E's columns.
+
+    Visits the columns in ``order``, prices each one as the dot product of
+    its CSC column with y, takes it when its reward beats that price, adds
+    alpha times the column to y, steps the rows by -alpha * d and projects
+    onto y >= 0, with alpha = 1/sqrt(n_cols). y is kept in integer units of
+    alpha / n_cols, so every sum is exact. Returns x and a copy of the
+    scaled iterate after every column.
+    """
+    e = instance.e.tocsc()
+    n_cols = instance.n_cols
+    alpha = 1.0 / math.sqrt(n_cols)
+    vals_int = e.data.astype(np.int64)
+    assert np.array_equal(vals_int, e.data)
+    step = np.rint(instance.d * n_cols).astype(np.int64)
+    assert np.array_equal(step, instance.l)
+    y = np.zeros(instance.n_rows, dtype=np.int64)
+    x = np.zeros(n_cols, dtype=np.int8)
+    iterates = []
+    for j in order:
+        lo, hi = e.indptr[j], e.indptr[j + 1]
+        idx, vals = e.indices[lo:hi], vals_int[lo:hi]
+        price = int(vals @ y[idx])
+        take = instance.r[j] > price * (alpha / n_cols)
+        if take:
+            x[j] = 1
+            y[idx] += n_cols * vals
+        y -= step
+        y = np.maximum(y, 0)
+        iterates.append(y.copy())
+    return x, iterates
+
+
 def static_drop(selected: list[int], z_sub: np.ndarray, weights: np.ndarray,
                 n_keep: int) -> int:
     """Coverage after dropping the least-marginal cells, all chosen upfront.

@@ -11,6 +11,7 @@ from absmove import (
     OracleCapError,
     abs_cell_centers,
     assemble,
+    covered_weight,
     ea_step,
     evaluate_placement,
     exact_optimum,
@@ -30,7 +31,7 @@ class TestExactOptimum:
             _, fs, _, inst = random_instance(seed, n_abs=1)
             best = exact_optimum(inst, fs)
             per_cell = [
-                inst.coverage_of([t]) for t in inst.per_abs_pos[0]
+                covered_weight(inst.z_sub, [t], inst.weights) for t in inst.per_abs_pos[0]
             ]
             assert best.coverage_value == max(per_cell)
 
@@ -158,6 +159,21 @@ class TestKmeansInit:
         centers = abs_cell_centers(spec20)
         d = np.hypot(centers[:, 0] - 100.0, centers[:, 1] - 100.0)
         assert p.abs_cells[0] == int(np.argmin(d)) + 1
+
+    def test_pools_restrict_the_snap(self, empty_gcm, spec20):
+        gu = np.array([[100.0, 100.0]] * 3 + [[400.0, 400.0]] * 3)
+        free = kmeans_init(gu, 2, empty_gcm, seed=0)
+        pools = [np.array([1, 2], dtype=np.int64), np.array([2, 400], dtype=np.int64)]
+        p = kmeans_init(gu, 2, empty_gcm, seed=0, pools=pools)
+        assert all(c in pool for c, pool in zip(p.abs_cells, pools))
+        assert p.abs_cells != free.abs_cells
+        assert p.coverage_value == evaluate_placement(empty_gcm, p.abs_cells, gu)
+
+    def test_exhausted_pool_raises(self, empty_gcm):
+        gu = np.array([[100.0, 100.0], [110.0, 100.0], [400.0, 400.0]])
+        pools = [np.array([5], dtype=np.int64)] * 2
+        with pytest.raises(InfeasibleSetError, match="ABS 1"):
+            kmeans_init(gu, 2, empty_gcm, seed=0, pools=pools)
 
 
 class TestEaStep:

@@ -10,12 +10,12 @@ from absmove import (
     abs_cell_centers,
     assemble,
     coverage_rate,
+    covered_weight,
     evaluate_placement,
     feasible_sets,
     gu_cell_centers,
     make_placement,
 )
-from absmove.bilp import dump_instance
 
 import oracles
 from conftest import random_instance, synth_gcm
@@ -128,6 +128,33 @@ class TestAssembleProperties:
         assert plain.weights.tolist() == [1, 1]
         assert inst.total_gus == plain.total_gus == 4
 
+    def test_encoding_built_on_first_access_only(self):
+        _, _, _, inst = random_instance(4, n_abs=2)
+        assert not {"e", "r", "l", "d"} & set(vars(inst))
+        e = inst.e
+        assert inst.e is e
+        assert {"e"} == {"e", "r", "l", "d"} & set(vars(inst))
+
+    def test_encoding_entries(self):
+        # Rebuild E entry by entry from the row layout in the module notes.
+        for seed in range(6):
+            _, _, _, inst = random_instance(seed, n_abs=1 + seed % 3, shared_pools=bool(seed & 1))
+            n_v, n_u = inst.n_v, inst.n_u
+            want = np.zeros((inst.n_rows, inst.n_cols))
+            want[0, n_v:] = 1.0
+            for n, pos in enumerate(inst.per_abs_pos):
+                want[1 + n, n_v + pos] = -1.0
+            for t in range(n_u):
+                for k in range(n_v):
+                    row = 1 + inst.n_abs + t * n_v + k
+                    want[row, k] = -1.0
+                    want[row, n_v + t] = float(inst.z_sub[t, k])
+                    cover = 1 + inst.n_abs + n_u * n_v + k
+                    want[cover, k] = 1.0
+                    want[cover, n_v + t] = -float(inst.z_sub[t, k])
+            assert np.array_equal(inst.e.toarray(), want)
+            assert inst.e.nnz == np.count_nonzero(want)
+
     def test_rhs_head_layout(self):
         _, _, _, inst = random_instance(3, n_abs=3)
         assert inst.l[0] == 3.0
@@ -191,10 +218,17 @@ class TestEvaluate:
         gcm, fs, gu, inst = random_instance(9, n_abs=2)
         cells = [int(inst.u_ids[0]), int(inst.u_ids[-1])]
         pos = inst.positions_of_cells(cells)
-        assert inst.coverage_of(pos) == evaluate_placement(gcm, cells, gu)
+        assert covered_weight(inst.z_sub, pos, inst.weights) == evaluate_placement(gcm, cells, gu)
 
     def test_empty_selection_covers_nothing(self, empty_gcm):
         assert evaluate_placement(empty_gcm, [], [[10.0, 10.0]]) == 0
+
+    def test_column_selection_after_rows(self):
+        z = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=bool)
+        w = np.array([5, 7, 11])
+        assert covered_weight(z, [0, 2], w) == 16
+        assert covered_weight(z, [0, 2], w[[2, 1]], cols=[2, 1]) == 11
+        assert covered_weight(z, [], w) == 0
 
     def test_multiplicity_toggle(self):
         gcm, fs, gu, inst = random_instance(13, n_gus=9)
@@ -227,13 +261,3 @@ class TestPlacement:
         assert np.allclose(p.positions[0], [12.5, 12.5, 90.0])
         assert np.allclose(p.positions[1], [487.5, 487.5, 90.0])
         assert p.coverage_value == 7
-
-
-def test_dump_instance(tmp_path):
-    _, _, _, inst = random_instance(1)
-    path = tmp_path / "inst.txt"
-    dump_instance(inst, path)
-    text = path.read_text()
-    assert "row 0 total" in text
-    assert f"nnz {inst.e.nnz}" in text
-    assert text.count("\ncol ") == inst.n_cols

@@ -59,6 +59,20 @@ class TestValidateConfig:
         cfg = write_cfg(tmp_path / "s.yaml", timing={"flight_time": 3.0})
         assert cli.main(["validate-config", str(cfg)]) == 2
 
+    def test_kmeans_ea_with_fewer_gus_than_abs_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path / "s.yaml",
+            area={"d1": 250.0, "d2": 250.0},
+            fleet={"n_abs": 3, "n_gus": 2},
+            experiment={"solvers": ["online", "kmeans-ea"]},
+        )
+        assert cli.main(["validate-config", str(cfg)]) == 2
+        assert "kmeans-ea" in capsys.readouterr().err
+        out = tmp_path / "run"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+        assert "kmeans-ea" in capsys.readouterr().err
+        assert not (out / "trials").exists()
+
     def test_usage_error(self, capsys):
         assert cli.main([]) == 2
         capsys.readouterr()
@@ -81,6 +95,9 @@ class TestBuildGcm:
         assert cli.main(["build-gcm", str(cfg), str(a)]) == 0
         assert cli.main(["build-gcm", str(cfg), str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "a.gcm", "a.gcm.json", "b.gcm", "b.gcm.json", "s.yaml",
+        ]
 
     def test_output_root_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ABSMOVE_OUTPUT_ROOT", str(tmp_path / "root"))
@@ -176,6 +193,20 @@ class TestRun:
         # A missing sidecar likewise.
         sidecar.unlink()
         assert cli.main(["run", str(cfg), "--out", str(out)]) == 3
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("text", ["{bad", "[1, 2]"])
+    def test_unreadable_sidecar_is_recorded_io_error(self, tmp_path, capsys, text):
+        cfg = write_cfg(tmp_path / "s.yaml")
+        out = tmp_path / "run"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+        (sidecar,) = (out / "gcm").glob("*.gcm.json")
+        sidecar.write_text(text)
+        (out / "summary.csv").unlink()
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 3
+        failures = (out / "failures.csv").read_text().splitlines()
+        assert failures[1].split(",")[3:5] == ["FileFormatError", "3"]
+        assert (out / "summary.csv").exists()
         capsys.readouterr()
 
     def test_too_dense_environment_exits_2(self, tmp_path, capsys):

@@ -127,6 +127,19 @@ class TestExperiment:
         with pytest.raises(ConfigError, match="solver"):
             parse_experiment(merge_config({"experiment": {"solvers": ["greedy"]}}))
 
+    def test_every_solver_and_sweep_value_parsed_up_front(self):
+        raw = {"fleet": {"n_abs": 3, "n_gus": 2},
+               "experiment": {"solvers": ["online", "kmeans-ea"]}}
+        with pytest.raises(ConfigError, match="kmeans-ea"):
+            parse_experiment(merge_config(raw))
+        raw = {"fleet": {"n_abs": 3},
+               "experiment": {"solvers": ["kmeans-ea"],
+                              "sweep": {"axis": "n_gus", "values": [5, 2]}}}
+        with pytest.raises(ConfigError, match="n_gus=2"):
+            parse_experiment(merge_config(raw))
+        raw["experiment"]["sweep"]["values"] = [5, 3]
+        assert parse_experiment(merge_config(raw)).sweep_values == (5, 3)
+
     def test_empty_lists(self):
         with pytest.raises(ConfigError, match="seeds"):
             parse_experiment(merge_config({"experiment": {"seeds": []}}))

@@ -18,6 +18,7 @@ from absmove import (
     solve,
 )
 
+import absmove.online_solver as online_solver
 import oracles
 from conftest import random_instance, synth_gcm
 from test_bilp import tiny_two_cell_instance
@@ -230,19 +231,43 @@ class TestSolve:
         assert d["abs_cells"] == list(rep.placement.abs_cells)
         assert len(d["dual_trace"]) == 2
 
-    def test_tie_high_variant_is_feasible(self):
-        _, fs, gu, inst = random_instance(11)
-        rep = solve(inst, fs, duplication=2, seed=0, tie_high=True)
-        assert 0 <= rep.coverage_value <= inst.weights.sum()
-
-    def test_custom_step_size(self):
-        _, fs, _, inst = random_instance(12)
-        rep = solve(inst, fs, duplication=1, seed=0, step_size=0.05)
-        assert rep.step_size == 0.05
-
     def test_validation(self):
         _, fs, _, inst = random_instance(13)
         with pytest.raises(ValueError):
             solve(inst, fs, duplication=0)
-        with pytest.raises(ValueError):
-            solve(inst, fs, duplication=1, step_size=0.0)
+
+
+class TestGreedyPass:
+    """The pass prices from z_sub and the pools; the reference walks E."""
+
+    @staticmethod
+    def pass_with_iterates(inst, seed):
+        seen = []
+
+        def record(instance, y):
+            seen.append(np.array(y, copy=True))
+            return 0.0
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(online_solver, "dual_objective", record)
+            x, _ = online_solver._greedy_pass(inst, np.random.default_rng([seed, 0]), True)
+        return x, seen
+
+    @pytest.mark.parametrize("multiplicity", [True, False])
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("n_abs", [1, 2, 3])
+    def test_matches_integer_walk_over_e(self, n_abs, shared, multiplicity):
+        for seed in range(25):
+            gcm, fs, gu, _ = random_instance(
+                seed, n_abs=n_abs, n_cells=n_abs + 2 + seed % 5, n_grids=3 + seed % 5,
+                n_gus=2 + seed % 9, density=0.2 + 0.1 * (seed % 5), shared_pools=shared,
+            )
+            inst = assemble(gcm, fs, gu, n_abs, weight_multiplicity=multiplicity)
+            x, seen = self.pass_with_iterates(inst, seed)
+            order = np.random.default_rng([seed, 0]).permutation(inst.n_cols)
+            want_x, want_y = oracles.integer_csc_walk(inst, order)
+            assert np.array_equal(x, want_x), f"seed {seed}"
+            alpha = 1.0 / math.sqrt(inst.n_cols)
+            assert len(seen) == len(want_y) == inst.n_cols
+            for got, want in zip(seen, want_y):
+                assert np.array_equal(got, want * alpha / inst.n_cols), f"seed {seed}"

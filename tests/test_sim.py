@@ -31,6 +31,7 @@ from absmove import (
     step_gu,
     validate_trial_log,
 )
+import absmove.sim as sim
 from absmove.sim import (
     export_metrics_csv,
     export_periods_csv,
@@ -100,6 +101,12 @@ class TestTrialConfig:
         assert cfg.n_periods == 3
         assert cfg.lead_steps == 5
         assert cfg.movement_radius == 300.0
+
+    def test_kmeans_ea_needs_a_gu_per_abs(self):
+        with pytest.raises(ConfigError, match="kmeans-ea"):
+            tiny_cfg(solver=SolverConfig(name="kmeans-ea"), n_abs=3, n_gus=2)
+        tiny_cfg(solver=SolverConfig(name="online"), n_abs=3, n_gus=2)
+        tiny_cfg(solver=SolverConfig(name="kmeans-ea"), n_abs=3, n_gus=3)
 
     def test_lead_rounds_up(self):
         assert tiny_cfg(planning_time=4.2).lead_steps == 5
@@ -278,6 +285,21 @@ class TestRunTrial:
             grids = gu_cells_of_positions(cfg.spec, log.gu_positions[i + 1])
             covered = tiny_gcm.z[np.array(cells) - 1][:, grids - 1].any(axis=0)
             assert covered.mean() == pytest.approx(log.cr_simplified[i], abs=1e-12)
+
+    @pytest.mark.parametrize("solver", ["online", "oracle"])
+    def test_planning_never_builds_the_encoding(self, tiny_env, tiny_gcm, monkeypatch, solver):
+        built, assemble_ = [], sim.assemble
+
+        def recording_assemble(*args, **kwargs):
+            built.append(assemble_(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(sim, "assemble", recording_assemble)
+        cfg = tiny_cfg(solver=SolverConfig(name=solver, duplication=2), plan_before_start=True)
+        run_trial(cfg, tiny_env, tiny_gcm)
+        assert len(built) == cfg.n_periods
+        for inst in built:
+            assert not {"e", "r", "l", "d"} & set(vars(inst))
 
     def test_deterministic_replay(self, tiny_env, tiny_gcm):
         a = run_trial(tiny_cfg(), tiny_env, tiny_gcm)
