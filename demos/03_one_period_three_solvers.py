@@ -61,7 +61,7 @@ def main() -> None:
     t0 = time.perf_counter()
     seeded = kmeans_init(gu_positions, N_ABS, gcm, seed=1)
     polished = ea_step(seeded, fs, gcm, gu_positions,
-                       EaConfig(rounds=3000, mutants=1, mutation_radius=25.0, seed=1))
+                       EaConfig(rounds=3000, mutation_radius=25.0, seed=1))
     t_ea = time.perf_counter() - t0
     print(f"k-means + mutation:   covers {polished.coverage_value}/{N_GUS} "
           f"in {t_ea * 1e3:6.1f} ms  cells {polished.abs_cells}")

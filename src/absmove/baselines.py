@@ -28,18 +28,15 @@ from .gcm import Gcm, abs_cell_centers, cell_center_abs
 
 @dataclass(frozen=True)
 class EaConfig:
-    """Evolutionary search knobs: rounds, per-round mutants, move range."""
+    """Evolutionary search knobs: candidate count, move range, seed."""
 
     rounds: int = 3000
     mutation_radius: float = 300.0
-    mutants: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
             raise ValueError("rounds must be at least 1")
-        if self.mutants < 1:
-            raise ValueError("mutants must be at least 1")
         if self.mutation_radius < 0.0:
             raise ValueError("mutation_radius must be non-negative")
 
@@ -184,8 +181,8 @@ def ea_step(
     Every candidate perturbs the input placement: each ABS cell is redrawn
     uniformly from the reachable cells within ``mutation_radius`` of its
     input cell, resampling a few times for distinctness and keeping the
-    input cell when that fails. After rounds x mutants candidates the best
-    one is returned, with the unmutated incumbent always in the running, so
+    input cell when that fails. After ``rounds`` candidates the best one is
+    returned, with the unmutated incumbent always in the running, so
     coverage never decreases. Iterative refinement, where wanted, is chained
     through successive calls.
     """
@@ -210,24 +207,23 @@ def ea_step(
     best_val = current.coverage_value
     pools = [pool_of(base[i], i) for i in range(n)]
     for _ in range(cfg.rounds):
-        for _ in range(cfg.mutants):
-            cand: list[int] = []
-            for i in range(n):
+        cand: list[int] = []
+        for i in range(n):
+            cell = base[i]
+            for _ in range(8):
+                pick = int(pools[i][rng.integers(len(pools[i]))])
+                if pick not in cand:
+                    cell = pick
+                    break
+            if cell in cand:
+                # Distinctness could not be restored; keep the input cell.
                 cell = base[i]
-                for _ in range(8):
-                    pick = int(pools[i][rng.integers(len(pools[i]))])
-                    if pick not in cand:
-                        cell = pick
-                        break
-                if cell in cand:
-                    # Distinctness could not be restored; keep the input cell.
-                    cell = base[i]
-                if cell in cand:
-                    continue
-                cand.append(cell)
-            if len(cand) != n:
+            if cell in cand:
                 continue
-            val = covered_weight(z_cols, np.asarray(cand) - 1, counts)
-            if val > best_val:
-                best_cells, best_val = cand, val
+            cand.append(cell)
+        if len(cand) != n:
+            continue
+        val = covered_weight(z_cols, np.asarray(cand) - 1, counts)
+        if val > best_val:
+            best_cells, best_val = cand, val
     return make_placement(gcm.spec, best_cells, best_val)

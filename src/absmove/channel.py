@@ -2,8 +2,8 @@
 
 All link math is deterministic. The mean channel gain follows the urban-macro
 median path-loss formulas (LoS and NLoS branches, no shadowing term); small
-scale fading enters only through the closed-form outage probability of a
-Rician (LoS) or Rayleigh (NLoS) envelope.
+scale fading enters only through the outage probability of a Rician (LoS)
+or Rayleigh (NLoS) envelope, which is a noncentral chi-square CDF.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ive
+from scipy.special import chndtr
 
 from .env import Environment, is_los, los_blocked_mask
 
@@ -22,9 +22,6 @@ SPEED_OF_LIGHT = 299792458.0
 MIN_MODEL_DISTANCE = 10.0
 # Effective environment height of the urban-macro model, metres.
 _H_ENV = 1.0
-
-_MARCUM_TOL = 1e-10
-_MARCUM_MAX_TERMS = 20000
 
 
 class ModelValidityWarning(UserWarning):
@@ -43,9 +40,8 @@ def linear_to_db(x):
 class ChannelParams:
     """Link-budget constants plus the angle-dependent Rician K model.
 
-    ``a1`` and ``a2`` are derived from the K bounds when omitted:
     K(theta) = a1 * exp(a2 * theta) with K(0) = k_min and K(pi/2) = k_max
-    (both given in dB).
+    (both given in dB); ``a1`` and ``a2`` are derived from those bounds.
     """
 
     tx_power_dbm: float = 5.0
@@ -57,8 +53,6 @@ class ChannelParams:
     outage_threshold: float = 0.1
     abs_alt: float = 90.0
     gu_alt: float = 1.0
-    a1: float | None = None
-    a2: float | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.outage_threshold <= 1.0):
@@ -69,17 +63,16 @@ class ChannelParams:
             raise ValueError("need abs_alt > gu_alt >= 0")
         if self.k_max_db < self.k_min_db:
             raise ValueError("k_max_db must be >= k_min_db")
-        k_min_lin = 10.0 ** (self.k_min_db / 10.0)
-        k_max_lin = 10.0 ** (self.k_max_db / 10.0)
-        if self.a1 is None:
-            object.__setattr__(self, "a1", k_min_lin)
-        if self.a2 is None:
-            object.__setattr__(self, "a2", math.log(k_max_lin / k_min_lin) / (math.pi / 2.0))
-        # The explicit coefficients must agree with the dB bounds.
-        if abs(self.a1 - k_min_lin) > 1e-9 * k_min_lin:
-            raise ValueError("a1 inconsistent with k_min_db")
-        if abs(self.a1 * math.exp(self.a2 * math.pi / 2.0) - k_max_lin) > 1e-9 * k_max_lin:
-            raise ValueError("a2 inconsistent with k_max_db")
+
+    @property
+    def a1(self) -> float:
+        """K at the horizon (linear)."""
+        return 10.0 ** (self.k_min_db / 10.0)
+
+    @property
+    def a2(self) -> float:
+        """Growth rate of ln K per radian of elevation."""
+        return math.log(10.0 ** (self.k_max_db / 10.0) / self.a1) / (math.pi / 2.0)
 
     @property
     def snr_gap_db(self) -> float:
@@ -155,88 +148,37 @@ def snr(params: ChannelParams, gain):
     return np.asarray(gain, dtype=float) * 10.0 ** (params.snr_gap_db / 10.0)
 
 
-def marcum_q1(a, b, tol: float = _MARCUM_TOL, max_terms: int = _MARCUM_MAX_TERMS):
+def marcum_q1(a, b):
     """First-order Marcum Q function, elementwise over broadcastable arrays.
 
-    Uses the scaled Bessel series
-        Q1(a, b) = exp(-(b-a)^2/2) * sum_k (a/b)^k * ive(k, a*b),   a <= b,
-    and the reflection Q1(a, b) = 1 + exp(-(b-a)^2/2) * ive(0, a*b) - Q1(b, a)
-    for a > b. Terms are positive and decreasing; truncation error is bounded
-    by a Bessel ratio estimate and kept below ``tol`` in absolute value.
+    Q1(a, b) is the survival function at b^2 of a noncentral chi-square
+    variable with two degrees of freedom and noncentrality a^2.
     """
     a_arr, b_arr = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    scalar = a_arr.ndim == 0
-    aa = np.atleast_1d(a_arr).astype(float).ravel()
-    bb = np.atleast_1d(b_arr).astype(float).ravel()
-    if np.any(aa < 0.0) or np.any(bb < 0.0) or np.any(~np.isfinite(aa)):
+    if np.any(a_arr < 0.0) or np.any(b_arr < 0.0) or np.any(~np.isfinite(a_arr)):
         raise ValueError("marcum_q1 requires finite a >= 0 and b >= 0")
-    out = np.ones_like(aa)  # b == 0 (or b == inf handled below) defaults
-
-    finite_b = np.isfinite(bb)
-    out[~finite_b] = 0.0
-    work = (bb > 0.0) & finite_b
-    if np.any(work):
-        aw, bw = aa[work], bb[work]
-        flip = aw > bw
-        lo = np.where(flip, bw, aw)
-        hi = np.where(flip, aw, bw)
-        z = lo * hi
-        rho = lo / hi
-        pref = np.exp(-0.5 * (hi - lo) ** 2)
-
-        s = np.zeros_like(z)
-        rho_pow = np.ones_like(z)
-        active = np.ones(z.shape, dtype=bool)
-        k = 0
-        while np.any(active):
-            if k > max_terms:
-                raise RuntimeError("marcum_q1 series failed to converge")
-            za = z[active]
-            term = rho_pow[active] * ive(k, za)
-            s[active] += term
-            # Next-term ratio bound: I_{k+1}(z)/I_k(z) <= z/(k + sqrt(k^2+z^2)).
-            ratio = rho[active] * za / (k + np.sqrt(k * k + za * za) + 1e-300)
-            ratio = np.minimum(ratio, 0.999999)
-            tail = pref[active] * term * ratio / (1.0 - ratio)
-            done = (tail <= tol) & (k >= 1)
-            if np.any(done):
-                idx = np.flatnonzero(active)
-                active[idx[done]] = False
-            rho_pow *= rho
-            k += 1
-
-        q_small = pref * s
-        res = np.where(flip, 1.0 + pref * ive(0, z) - q_small, q_small)
-        out[work] = np.clip(res, 0.0, 1.0)
-
-    result = out.reshape(a_arr.shape) if not scalar else out[0]
-    return float(result) if scalar else result
+    q = 1.0 - chndtr(b_arr * b_arr, 2.0, a_arr * a_arr)
+    return float(q) if q.ndim == 0 else q
 
 
 def outage_probability(params: ChannelParams, snr_mean, k):
     """Probability that instantaneous SNR falls below the service threshold.
 
     ``snr_mean`` and ``k`` are linear. A Rician envelope with factor k gives
-    P_out = 1 - Q1(sqrt(2k), sqrt(2(k+1) g / g_mean)); k = 0 collapses to the
-    Rayleigh closed form 1 - exp(-g / g_mean). Zero mean SNR is certain outage.
+    P_out = 1 - Q1(sqrt(2k), sqrt(2(k+1) g / g_mean)), the CDF at
+    2(k+1) g / g_mean of a noncentral chi-square variable with two degrees of
+    freedom and noncentrality 2k; k = 0 is the Rayleigh case
+    1 - exp(-g / g_mean). Zero mean SNR is certain outage.
     """
-    snr_arr, k_arr = np.broadcast_arrays(
-        np.asarray(snr_mean, dtype=float), np.asarray(k, dtype=float)
-    )
-    scalar = snr_arr.ndim == 0
-    snr_v = np.atleast_1d(snr_arr).astype(float)
-    k_v = np.atleast_1d(k_arr).astype(float)
+    snr_v, k_v = np.broadcast_arrays(np.asarray(snr_mean, dtype=float), np.asarray(k, dtype=float))
     if np.any(snr_v < 0.0) or np.any(k_v < 0.0):
         raise ValueError("mean SNR and K factor must be non-negative")
     gamma_th = 10.0 ** (params.snr_threshold_db / 10.0)
-    out = np.ones_like(snr_v)
-    pos = snr_v > 0.0
-    if np.any(pos):
-        a = np.sqrt(2.0 * k_v[pos])
-        b = np.sqrt(2.0 * (k_v[pos] + 1.0) * gamma_th / snr_v[pos])
-        out[pos] = 1.0 - marcum_q1(a, b)
-    result = out.reshape(snr_arr.shape) if not scalar else out[0]
-    return float(result) if scalar else result
+    # Zero mean SNR puts the threshold at infinity, where the CDF is 1.
+    with np.errstate(divide="ignore"):
+        x = 2.0 * (k_v + 1.0) * gamma_th / snr_v
+    p_out = chndtr(x, 2.0, 2.0 * k_v)
+    return float(p_out) if p_out.ndim == 0 else p_out
 
 
 def coverage_mask(params: ChannelParams, env: Environment, p, qs) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Subcommands: validate-config, build-gcm, run, plot-data. Exit codes: 0 on
-success, 2 for config problems, 3 for IO and file-format problems, 4 for
-solver failures, 5 for contract violations detected in produced logs.
+success, 1 for an unexpected error, 2 for config problems, 3 for IO and
+file-format problems, 4 for solver failures, 5 for contract violations
+detected in produced logs. ``run`` records a failed trial in failures.csv
+under its code, keeps going and exits with the first failure's code.
 Relative output paths are resolved under $ABSMOVE_OUTPUT_ROOT when set.
 """
 
@@ -172,11 +174,11 @@ _ERROR_CODES = (
 )
 
 
-def _code_for(exc: BaseException) -> int:
+def _code_for(exc: Exception) -> int:
     for classes, code in _ERROR_CODES:
         if isinstance(exc, classes):
             return code
-    raise exc
+    return 1
 
 
 def cmd_run(args) -> int:

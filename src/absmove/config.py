@@ -58,7 +58,6 @@ DEFAULTS: dict = {
         "name": "online",
         "duplication": 3,
         "ea_rounds": 3000,
-        "ea_mutants": 1,
         "ea_mutation_radius": None,
         "oracle_cap": 5_000_000,
         "oracle_branch_and_bound": True,
@@ -185,7 +184,6 @@ def parse_trial_config(
                 name=str(sol["name"]),
                 duplication=int(sol["duplication"]),
                 ea_rounds=int(sol["ea_rounds"]),
-                ea_mutants=int(sol["ea_mutants"]),
                 ea_mutation_radius=(
                     None if sol["ea_mutation_radius"] is None else float(sol["ea_mutation_radius"])
                 ),

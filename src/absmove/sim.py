@@ -62,7 +62,6 @@ class SolverConfig:
     name: str = "online"
     duplication: int = 3
     ea_rounds: int = 3000
-    ea_mutants: int = 1
     ea_mutation_radius: float | None = None
     oracle_cap: int = 5_000_000
     oracle_branch_and_bound: bool = True
@@ -72,8 +71,12 @@ class SolverConfig:
             raise ConfigError(f"unknown solver {self.name!r}")
         if self.duplication < 1:
             raise ConfigError("duplication must be at least 1")
-        if self.ea_rounds < 1 or self.ea_mutants < 1:
-            raise ConfigError("ea_rounds and ea_mutants must be at least 1")
+        if self.ea_rounds < 1:
+            raise ConfigError("ea_rounds must be at least 1")
+        if self.ea_mutation_radius is not None and self.ea_mutation_radius < 0.0:
+            raise ConfigError(
+                f"ea_mutation_radius must be non-negative, got {self.ea_mutation_radius}"
+            )
 
 
 def _check_multiple(name: str, value: float, step: float) -> int:
@@ -133,6 +136,12 @@ class TrialConfig:
             )
         if self.abs_speed < 0 or self.gu_speed < 0:
             raise ConfigError("speeds must be non-negative")
+        radius = self.solver.ea_mutation_radius
+        if self.solver.name == "kmeans-ea" and radius is not None and radius > self.movement_radius:
+            raise ConfigError(
+                f"ea_mutation_radius {radius} exceeds the movement radius "
+                f"{self.movement_radius} (abs_speed * flight_time)"
+            )
         if abs(self.spec.abs_alt - self.channel.abs_alt) > 1e-9:
             raise ConfigError(
                 f"grid altitude {self.spec.abs_alt} differs from channel altitude "
@@ -360,7 +369,6 @@ def _kmeans_ea_plan(state: PlanState, gcm: Gcm, fs: FeasibleSets, cfg: TrialConf
     ea_cfg = EaConfig(
         rounds=sc.ea_rounds,
         mutation_radius=fs.radius if sc.ea_mutation_radius is None else sc.ea_mutation_radius,
-        mutants=sc.ea_mutants,
         seed=_period_seed(cfg.solver_seed, state.period, 2),
     )
     return ea_step(start, fs, gcm, state.gu_positions, ea_cfg)

@@ -230,6 +230,4 @@ class TestEaStep:
         with pytest.raises(ValueError):
             EaConfig(rounds=0)
         with pytest.raises(ValueError):
-            EaConfig(mutants=0)
-        with pytest.raises(ValueError):
             EaConfig(mutation_radius=-1.0)

@@ -136,10 +136,11 @@ class TestSnr:
 
 class TestMarcumQ1:
     def test_matches_chi_square_tail(self):
-        for a in (0.0, 0.3, 1.0, 2.0, 5.0, 8.0, 12.0):
-            for b in (0.0, 0.2, 1.0, 2.5, 6.0, 10.0, 25.0):
+        # a = sqrt(2 K) reaches 44.7 at the 30 dB K ceiling of the paper's model.
+        for a in (0.0, 0.3, 1.0, 2.0, 5.0, 8.0, 12.0, 20.0, 31.6, 44.7):
+            for b in (0.0, 0.2, 1.0, 2.5, 6.0, 10.0, 25.0, 30.0, 40.0, 44.0, 45.0, 50.0):
                 ref = oracles.marcum_q1(a, b)
-                assert marcum_q1(a, b) == pytest.approx(ref, abs=1e-9), (a, b)
+                assert marcum_q1(a, b) == pytest.approx(ref, abs=1e-12), (a, b)
 
     def test_zero_a_closed_form(self):
         for b in (0.1, 1.0, 3.0):
@@ -173,11 +174,11 @@ class TestOutage:
 
     def test_matches_chi_square_reference(self, params):
         gamma = db_to_linear(params.snr_threshold_db)
-        for k in (0.0, 1.0, 5.0, 31.62, 316.0):
-            for ratio in (0.05, 0.3, 1.0, 4.0):
+        for k in (0.0, 1.0, 5.0, 31.62, 316.0, 500.0, 1000.0):
+            for ratio in (0.05, 0.3, 0.6, 0.8, 0.9, 0.95, 1.0, 4.0):
                 expect = oracles.outage(k, ratio)
                 got = outage_probability(params, gamma / ratio, k)
-                assert got == pytest.approx(expect, abs=1e-9), (k, ratio)
+                assert got == pytest.approx(expect, abs=1e-12), (k, ratio)
 
     def test_monte_carlo_agreement(self, params):
         gamma = db_to_linear(params.snr_threshold_db)

@@ -73,6 +73,20 @@ class TestValidateConfig:
         assert "kmeans-ea" in capsys.readouterr().err
         assert not (out / "trials").exists()
 
+    @pytest.mark.parametrize("radius", [1000.0, -5.0])
+    def test_bad_ea_mutation_radius_exits_2(self, tmp_path, capsys, radius):
+        cfg = write_cfg(
+            tmp_path / "s.yaml",
+            solver={"ea_mutation_radius": radius},
+            experiment={"solvers": ["online", "kmeans-ea"]},
+        )
+        assert cli.main(["validate-config", str(cfg)]) == 2
+        assert "ea_mutation_radius" in capsys.readouterr().err
+        out = tmp_path / "run"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+        assert "ea_mutation_radius" in capsys.readouterr().err
+        assert not (out / "trials").exists()
+
     def test_usage_error(self, capsys):
         assert cli.main([]) == 2
         capsys.readouterr()
@@ -242,6 +256,27 @@ class TestRun:
         monkeypatch.setattr(cli, "validate_trial_log", boom)
         cfg = write_cfg(tmp_path / "s.yaml")
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 5
+        capsys.readouterr()
+
+    def test_unexpected_trial_error_is_recorded(self, tmp_path, monkeypatch, capsys):
+        real_run_trial = cli.run_trial
+
+        def flaky(tc, env, gcm):
+            if tc.env_seed == first_env_seed:
+                raise RuntimeError("induced for testing")
+            return real_run_trial(tc, env, gcm)
+
+        cfg = write_cfg(tmp_path / "s.yaml", experiment={"seeds": [0, 1]})
+        first_env_seed = cli.parse_trial_config(cli.load_config(cfg), seed=0).env_seed
+        monkeypatch.setattr(cli, "run_trial", flaky)
+        out = tmp_path / "run"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 1
+        failures = (out / "failures.csv").read_text().splitlines()
+        assert len(failures) == 2
+        assert failures[1].split(",")[:5] == ["base", "online", "0", "RuntimeError", "1"]
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert len(summary) == 2 and summary[1].split(",")[5] == "1"
+        assert (out / "trials" / "base" / "online" / "seed1" / "metrics.csv").exists()
         capsys.readouterr()
 
     def test_grid_length_sweep(self, tmp_path):

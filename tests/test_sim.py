@@ -108,6 +108,15 @@ class TestTrialConfig:
         tiny_cfg(solver=SolverConfig(name="online"), n_abs=3, n_gus=2)
         tiny_cfg(solver=SolverConfig(name="kmeans-ea"), n_abs=3, n_gus=3)
 
+    def test_ea_mutation_radius_bounds(self):
+        with pytest.raises(ConfigError, match="non-negative"):
+            SolverConfig(name="kmeans-ea", ea_mutation_radius=-5.0)
+        # The movement radius of tiny_cfg is 30 m/s * 10 s = 300 m.
+        with pytest.raises(ConfigError, match="movement radius"):
+            tiny_cfg(solver=SolverConfig(name="kmeans-ea", ea_mutation_radius=1000.0))
+        tiny_cfg(solver=SolverConfig(name="kmeans-ea", ea_mutation_radius=300.0))
+        tiny_cfg(solver=SolverConfig(name="online", ea_mutation_radius=1000.0))
+
     def test_lead_rounds_up(self):
         assert tiny_cfg(planning_time=4.2).lead_steps == 5
         assert tiny_cfg(planning_time=5.0, step=2.0, flight_time=10.0).lead_steps == 3
