@@ -1,5 +1,5 @@
 """Plan a single period with the online solver, the exact oracle, and the
-k-means + evolutionary baseline, on the same snapshot.
+k-means + evolutionary baseline, all from the same assembled instance.
 
 Run:  python demos/03_one_period_three_solvers.py
 """
@@ -59,8 +59,8 @@ def main() -> None:
           f"in {t_plain * 1e3:6.1f} ms  cells {plain.abs_cells}")
 
     t0 = time.perf_counter()
-    seeded = kmeans_init(gu_positions, N_ABS, gcm, seed=1)
-    polished = ea_step(seeded, fs, gcm, gu_positions,
+    seeded = kmeans_init(instance, gu_positions, seed=1)
+    polished = ea_step(seeded, instance, fs,
                        EaConfig(rounds=3000, mutation_radius=25.0, seed=1))
     t_ea = time.perf_counter() - t0
     print(f"k-means + mutation:   covers {polished.coverage_value}/{N_GUS} "

@@ -2,8 +2,9 @@
 
 The exact oracle certifies optimality on small and moderate instances; the
 evolutionary baseline reproduces the classic init-then-mutate comparison
-point. Both consume the same instance/feasible-set inputs as the fast solver
-and return the same Placement type.
+point. Both read the same assembled instance as the fast solver (its per-ABS
+pools, ``z_sub`` and weights), so all three optimise one objective, and
+return the same Placement type.
 """
 
 from __future__ import annotations
@@ -13,17 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bilp import (
-    BilpInstance,
-    FeasibleSets,
-    Placement,
-    covered_weight,
-    evaluate_placement,
-    make_placement,
-    occupied_grids,
-)
+from .bilp import BilpInstance, FeasibleSets, Placement, covered_weight, make_placement
 from .errors import InfeasibleSetError, OracleCapError
-from .gcm import Gcm, abs_cell_centers, cell_center_abs
+from .gcm import abs_cell_centers
 
 
 @dataclass(frozen=True)
@@ -146,40 +139,37 @@ def kmeans_centroids(gu_positions, n: int, seed: int = 0) -> np.ndarray:
     return centroids
 
 
-def kmeans_init(gu_positions, n_abs: int, gcm: Gcm, seed: int = 0, pools=None) -> Placement:
-    """Snap K-means centroids of the GU cloud to distinct ABS cells.
+def kmeans_init(instance: BilpInstance, gu_positions, seed: int = 0) -> Placement:
+    """Snap K-means centroids of the GU cloud to distinct reachable cells.
 
-    Centroid i takes the cell of ``pools[i]`` (1-based cell ids, every valid
-    cell by default) nearest to it that no earlier centroid took.
+    Centroid i takes the cell of ABS i's pool nearest to it that no earlier
+    centroid took; the start is scored on the instance's objective.
     """
-    centroids = kmeans_centroids(gu_positions, n_abs, seed)
-    if pools is None:
-        pools = [np.flatnonzero(gcm.abs_cell_valid) + 1] * n_abs
-    centers = abs_cell_centers(gcm.spec)[:, :2]
-    cells: list[int] = []
-    for i, (c, ids) in enumerate(zip(centroids, pools)):
-        d = np.hypot(centers[ids - 1, 0] - c[0], centers[ids - 1, 1] - c[1])
+    centroids = kmeans_centroids(gu_positions, instance.n_abs, seed)
+    centers = abs_cell_centers(instance.spec)[instance.u_ids - 1, :2]
+    chosen: list[int] = []
+    for i, (c, pool) in enumerate(zip(centroids, instance.per_abs_pos)):
+        d = np.hypot(centers[pool, 0] - c[0], centers[pool, 1] - c[1])
         for t in np.argsort(d, kind="stable"):
-            if int(ids[t]) not in cells:
-                cells.append(int(ids[t]))
+            if int(pool[t]) not in chosen:
+                chosen.append(int(pool[t]))
                 break
         else:
             raise InfeasibleSetError(f"no distinct cell left for ABS {i}")
-    value = evaluate_placement(gcm, cells, gu_positions)
-    return make_placement(gcm.spec, cells, value)
+    value = covered_weight(instance.z_sub, chosen, instance.weights)
+    return make_placement(instance.spec, instance.u_ids[chosen], value)
 
 
 def ea_step(
     current: Placement,
+    instance: BilpInstance,
     fs: FeasibleSets,
-    gcm: Gcm,
-    gu_positions,
     cfg: EaConfig,
 ) -> Placement:
     """One generation of mutate-and-select around a feasible placement.
 
     Every candidate perturbs the input placement: each ABS cell is redrawn
-    uniformly from the reachable cells within ``mutation_radius`` of its
+    uniformly from the cells of its pool within ``mutation_radius`` of its
     input cell, resampling a few times for distinctness and keeping the
     input cell when that fails. After ``rounds`` candidates the best one is
     returned, with the unmutated incumbent always in the running, so
@@ -191,39 +181,35 @@ def ea_step(
             f"mutation radius {cfg.mutation_radius} exceeds movement radius {fs.radius}"
         )
     rng = np.random.default_rng(cfg.seed)
-    centers = abs_cell_centers(gcm.spec)[:, :2]
-    n = len(current.abs_cells)
-    v_ids, counts = occupied_grids(gcm.spec, gu_positions)
-    z_cols = gcm.z[:, v_ids - 1]
+    centers = abs_cell_centers(instance.spec)[instance.u_ids - 1, :2]
+    n = instance.n_abs
+    # Candidates are positions in u_ids, so distinct positions are distinct cells.
+    base = [int(p) for p in instance.positions_of_cells(current.abs_cells)]
+    pools = []
+    for p, pool in zip(base, instance.per_abs_pos):
+        d = np.hypot(centers[pool, 0] - centers[p, 0], centers[pool, 1] - centers[p, 1])
+        pools.append(pool[d <= cfg.mutation_radius])
 
-    def pool_of(cell: int, n_idx: int) -> np.ndarray:
-        c = cell_center_abs(gcm.spec, cell)[:2]
-        ids = fs.per_abs[n_idx]
-        d = np.hypot(centers[ids - 1, 0] - c[0], centers[ids - 1, 1] - c[1])
-        return ids[d <= cfg.mutation_radius]
-
-    base = list(current.abs_cells)
-    best_cells = list(base)
+    best_pos = base
     best_val = current.coverage_value
-    pools = [pool_of(base[i], i) for i in range(n)]
     for _ in range(cfg.rounds):
         cand: list[int] = []
         for i in range(n):
-            cell = base[i]
+            pos = base[i]
             for _ in range(8):
                 pick = int(pools[i][rng.integers(len(pools[i]))])
                 if pick not in cand:
-                    cell = pick
+                    pos = pick
                     break
-            if cell in cand:
+            if pos in cand:
                 # Distinctness could not be restored; keep the input cell.
-                cell = base[i]
-            if cell in cand:
+                pos = base[i]
+            if pos in cand:
                 continue
-            cand.append(cell)
+            cand.append(pos)
         if len(cand) != n:
             continue
-        val = covered_weight(z_cols, np.asarray(cand) - 1, counts)
+        val = covered_weight(instance.z_sub, cand, instance.weights)
         if val > best_val:
-            best_cells, best_val = cand, val
-    return make_placement(gcm.spec, best_cells, best_val)
+            best_pos, best_val = cand, val
+    return make_placement(instance.spec, instance.u_ids[best_pos], best_val)

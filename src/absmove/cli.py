@@ -172,6 +172,7 @@ _ERROR_CODES = (
     ((InfeasibleSetError, OracleCapError), 4),
     ((ContractViolationError,), 5),
 )
+_LABELS = {2: "config error", 3: "io error", 4: "solver error", 5: "contract violation"}
 
 
 def _code_for(exc: Exception) -> int:
@@ -401,18 +402,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    except (ConfigError, EnvironmentTooDenseError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (FileFormatError, OSError) as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 3
-    except (InfeasibleSetError, OracleCapError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 4
-    except ContractViolationError as exc:
-        print(f"contract violation: {exc}", file=sys.stderr)
-        return 5
+    except Exception as exc:
+        code = _code_for(exc)
+        if code == 1:
+            raise
+        print(f"{_LABELS[code]}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ import numpy as np
 
 # kmeans_centroids stays importable here so tools can wrap each planning layer.
 from .baselines import EaConfig, ea_step, exact_optimum, kmeans_centroids, kmeans_init  # noqa: F401
-from .bilp import FeasibleSets, Placement, assemble, evaluate_placement, feasible_sets
+from .bilp import assemble, evaluate_placement, feasible_sets
 from .channel import ChannelParams, coverage_mask
 from .env import Environment, generate_environment, obstructed_mask
 from .errors import ConfigError, ContractViolationError, InfeasibleSetError
@@ -307,24 +307,32 @@ def fly_step(
 def plan_period(state: PlanState, gcm: Gcm, cfg: TrialConfig) -> PeriodRecord:
     """Solve one placement instance from the frozen planning inputs.
 
-    Wall time is measured and compared against the planning budget; an
-    overrun is flagged in the record but never aborts the trial.
+    Every solver plans from the same assembled instance; only the online
+    solver returns a report. Wall time is measured and compared against the
+    planning budget; an overrun is flagged in the record but never aborts
+    the trial.
     """
     anchor_xy = np.stack([cell_center_abs(gcm.spec, c)[:2] for c in state.anchor_cells])
     t0 = time.perf_counter()
     fs = feasible_sets(
         anchor_xy, gcm.spec, None, cfg.movement_radius, valid=gcm.abs_cell_valid
     )
+    instance = assemble(gcm, fs, state.gu_positions, cfg.n_abs, cfg.weight_multiplicity)
     sc = cfg.solver
+    report = None
     if sc.name == "kmeans-ea":
-        placement = _kmeans_ea_plan(state, gcm, fs, cfg)
-        report = None
+        start = kmeans_init(
+            instance, state.gu_positions, _period_seed(cfg.solver_seed, state.period, 1)
+        )
+        ea_cfg = EaConfig(
+            rounds=sc.ea_rounds,
+            mutation_radius=fs.radius if sc.ea_mutation_radius is None else sc.ea_mutation_radius,
+            seed=_period_seed(cfg.solver_seed, state.period, 2),
+        )
+        placement = ea_step(start, instance, fs, ea_cfg)
     elif sc.name == "oracle":
-        instance = assemble(gcm, fs, state.gu_positions, cfg.n_abs, cfg.weight_multiplicity)
         placement = exact_optimum(instance, fs, sc.oracle_cap, sc.oracle_branch_and_bound)
-        report = None
     else:
-        instance = assemble(gcm, fs, state.gu_positions, cfg.n_abs, cfg.weight_multiplicity)
         report = solve(
             instance,
             fs,
@@ -333,19 +341,6 @@ def plan_period(state: PlanState, gcm: Gcm, cfg: TrialConfig) -> PeriodRecord:
         )
         placement = report.placement
     elapsed = time.perf_counter() - t0
-    if report is None:
-        report = SolverReport(
-            placement=placement,
-            coverage_value=placement.coverage_value,
-            restart_values=(placement.coverage_value,),
-            best_restart=0,
-            iterations=0,
-            gap_bound=0.0,
-            step_size=0.0,
-            duplication=1,
-            seed=cfg.solver_seed,
-            elapsed_s=elapsed,
-        )
     return PeriodRecord(
         period=state.period,
         trigger_step=-1,
@@ -356,22 +351,6 @@ def plan_period(state: PlanState, gcm: Gcm, cfg: TrialConfig) -> PeriodRecord:
         over_budget=elapsed > cfg.planning_time,
         report=report,
     )
-
-
-def _kmeans_ea_plan(state: PlanState, gcm: Gcm, fs: FeasibleSets, cfg: TrialConfig) -> Placement:
-    """Seed each ABS at the reachable cell nearest its GU-cluster centroid,
-    then climb by mutation."""
-    sc = cfg.solver
-    start = kmeans_init(
-        state.gu_positions, cfg.n_abs, gcm,
-        seed=_period_seed(cfg.solver_seed, state.period, 1), pools=fs.per_abs,
-    )
-    ea_cfg = EaConfig(
-        rounds=sc.ea_rounds,
-        mutation_radius=fs.radius if sc.ea_mutation_radius is None else sc.ea_mutation_radius,
-        seed=_period_seed(cfg.solver_seed, state.period, 2),
-    )
-    return ea_step(start, fs, gcm, state.gu_positions, ea_cfg)
 
 
 def run_trial(

@@ -144,27 +144,51 @@ class TestKmeans:
             kmeans_centroids(pts, 4)
 
 
+def pool_instance(gcm, gu, pools, weight_multiplicity=True):
+    """Instance whose ABS i may take any cell of ``pools[i]`` (1-based ids)."""
+    pools = tuple(np.asarray(p, dtype=np.int64) for p in pools)
+    fs = FeasibleSets(per_abs=pools, union=np.unique(np.concatenate(pools)),
+                      radius=float("inf"))
+    return assemble(gcm, fs, gu, len(pools), weight_multiplicity)
+
+
+def all_cells_instance(gcm, gu, n_abs, weight_multiplicity=True):
+    """Instance in which every ABS may take any valid cell."""
+    ids = np.flatnonzero(gcm.abs_cell_valid) + 1
+    return pool_instance(gcm, gu, [ids] * n_abs, weight_multiplicity)
+
+
 class TestKmeansInit:
     def test_snaps_to_distinct_valid_cells(self, empty_gcm, spec20):
         rng = np.random.default_rng(6)
         gu = rng.uniform(0, 500, size=(12, 2))
-        p = kmeans_init(gu, 3, empty_gcm, seed=0)
+        p = kmeans_init(all_cells_instance(empty_gcm, gu, 3), gu, seed=0)
         assert len(set(p.abs_cells)) == 3
         assert all(empty_gcm.abs_cell_valid[c - 1] for c in p.abs_cells)
         assert p.coverage_value == evaluate_placement(empty_gcm, p.abs_cells, gu)
 
+    @pytest.mark.parametrize("wm", [True, False])
+    def test_value_follows_instance_weights(self, empty_gcm, wm):
+        # Every GU shares its grid with another, so users and grids differ.
+        gu = np.repeat(np.random.default_rng(4).uniform(0, 500, size=(5, 2)), 2, axis=0)
+        p = kmeans_init(all_cells_instance(empty_gcm, gu, 2, wm), gu, seed=0)
+        assert p.coverage_value == evaluate_placement(
+            empty_gcm, p.abs_cells, gu, weight_multiplicity=wm
+        )
+        assert p.coverage_value > 0
+
     def test_centroid_snap_is_nearest(self, empty_gcm, spec20):
         gu = np.array([[100.0, 100.0]] * 4)
-        p = kmeans_init(gu, 1, empty_gcm, seed=0)
+        p = kmeans_init(all_cells_instance(empty_gcm, gu, 1), gu, seed=0)
         centers = abs_cell_centers(spec20)
         d = np.hypot(centers[:, 0] - 100.0, centers[:, 1] - 100.0)
         assert p.abs_cells[0] == int(np.argmin(d)) + 1
 
     def test_pools_restrict_the_snap(self, empty_gcm, spec20):
         gu = np.array([[100.0, 100.0]] * 3 + [[400.0, 400.0]] * 3)
-        free = kmeans_init(gu, 2, empty_gcm, seed=0)
+        free = kmeans_init(all_cells_instance(empty_gcm, gu, 2), gu, seed=0)
         pools = [np.array([1, 2], dtype=np.int64), np.array([2, 400], dtype=np.int64)]
-        p = kmeans_init(gu, 2, empty_gcm, seed=0, pools=pools)
+        p = kmeans_init(pool_instance(empty_gcm, gu, pools), gu, seed=0)
         assert all(c in pool for c, pool in zip(p.abs_cells, pools))
         assert p.abs_cells != free.abs_cells
         assert p.coverage_value == evaluate_placement(empty_gcm, p.abs_cells, gu)
@@ -173,7 +197,7 @@ class TestKmeansInit:
         gu = np.array([[100.0, 100.0], [110.0, 100.0], [400.0, 400.0]])
         pools = [np.array([5], dtype=np.int64)] * 2
         with pytest.raises(InfeasibleSetError, match="ABS 1"):
-            kmeans_init(gu, 2, empty_gcm, seed=0, pools=pools)
+            kmeans_init(pool_instance(empty_gcm, gu, pools), gu, seed=0)
 
 
 class TestEaStep:
@@ -184,29 +208,27 @@ class TestEaStep:
         start = make_placement(
             gcm.spec, start_cells, evaluate_placement(gcm, start_cells, gu)
         )
-        return gcm, fs, gu, inst, start
+        return fs, inst, start
 
     def test_mutation_radius_validated(self):
-        gcm, fs, gu, inst, start = self.make_setup(0)
+        fs, inst, start = self.make_setup(0)
         bounded = FeasibleSets(per_abs=fs.per_abs, union=fs.union, radius=50.0)
         with pytest.raises(ValueError):
-            ea_step(start, bounded, gcm, gu, EaConfig(mutation_radius=60.0))
+            ea_step(start, inst, bounded, EaConfig(mutation_radius=60.0))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_never_degrades(self, seed):
-        gcm, fs, gu, inst, start = self.make_setup(seed)
-        out = ea_step(start, fs, gcm, gu,
-                      EaConfig(rounds=40, mutation_radius=1e6, seed=seed))
+        fs, inst, start = self.make_setup(seed)
+        out = ea_step(start, inst, fs, EaConfig(rounds=40, mutation_radius=1e6, seed=seed))
         assert out.coverage_value >= start.coverage_value
         assert len(set(out.abs_cells)) == 2
 
     def test_reaches_small_instance_optimum(self):
-        gcm, fs, gu, inst, start = self.make_setup(2)
+        fs, inst, start = self.make_setup(2)
         opt = oracles.enumerate_optimum(
             inst.z_sub, inst.weights, [np.arange(inst.n_u)] * 2
         )
-        out = ea_step(start, fs, gcm, gu,
-                      EaConfig(rounds=3000, mutation_radius=1e6, seed=0))
+        out = ea_step(start, inst, fs, EaConfig(rounds=3000, mutation_radius=1e6, seed=0))
         assert out.coverage_value == opt
 
     def test_incumbent_survives_zero_gain_landscape(self):
@@ -215,15 +237,16 @@ class TestEaStep:
         pool = np.arange(1, 10, dtype=np.int64)
         fs = FeasibleSets(per_abs=(pool, pool), union=pool, radius=float("inf"))
         gu = gu_cell_centers(spec)[[0, 3], :2]
+        inst = assemble(gcm, fs, gu, n_abs=2)
         start = make_placement(spec, [1, 2], evaluate_placement(gcm, [1, 2], gu))
-        out = ea_step(start, fs, gcm, gu, EaConfig(rounds=25, mutation_radius=1e6, seed=1))
+        out = ea_step(start, inst, fs, EaConfig(rounds=25, mutation_radius=1e6, seed=1))
         assert out.abs_cells == (1, 2)  # nothing strictly better exists
 
     def test_deterministic(self):
-        gcm, fs, gu, inst, start = self.make_setup(3)
+        fs, inst, start = self.make_setup(3)
         cfg = EaConfig(rounds=60, mutation_radius=1e6, seed=11)
-        a = ea_step(start, fs, gcm, gu, cfg)
-        b = ea_step(start, fs, gcm, gu, cfg)
+        a = ea_step(start, inst, fs, cfg)
+        b = ea_step(start, inst, fs, cfg)
         assert a.abs_cells == b.abs_cells and a.coverage_value == b.coverage_value
 
     def test_config_validation(self):

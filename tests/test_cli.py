@@ -5,7 +5,16 @@ import json
 import pytest
 import yaml
 
-from absmove import ContractViolationError, load_gcm
+from absmove import (
+    ConfigError,
+    ContractViolationError,
+    EnvironmentTooDenseError,
+    FileFormatError,
+    GcmFormatError,
+    InfeasibleSetError,
+    OracleCapError,
+    load_gcm,
+)
 import absmove.cli as cli
 
 
@@ -90,6 +99,32 @@ class TestValidateConfig:
     def test_usage_error(self, capsys):
         assert cli.main([]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("exc, code, label", [
+        (ConfigError, 2, "config error"),
+        (EnvironmentTooDenseError, 2, "config error"),
+        (FileFormatError, 3, "io error"),
+        (GcmFormatError, 3, "io error"),
+        (OSError, 3, "io error"),
+        (InfeasibleSetError, 4, "solver error"),
+        (OracleCapError, 4, "solver error"),
+        (ContractViolationError, 5, "contract violation"),
+    ])
+    def test_error_table(self, monkeypatch, capsys, exc, code, label):
+        def fail(path):
+            raise exc("induced for testing")
+
+        monkeypatch.setattr(cli, "load_config", fail)
+        assert cli.main(["validate-config", "s.yaml"]) == code
+        assert capsys.readouterr().err == f"{label}: induced for testing\n"
+
+    def test_error_outside_the_table_propagates(self, monkeypatch):
+        def fail(path):
+            raise RuntimeError("induced for testing")
+
+        monkeypatch.setattr(cli, "load_config", fail)
+        with pytest.raises(RuntimeError, match="induced"):
+            cli.main(["validate-config", "s.yaml"])
 
 
 class TestBuildGcm:

@@ -1,0 +1,86 @@
+"""Property test: a config that `validate-config` accepts never crashes `run`.
+
+Random tiny scenarios (grids up to 5x5, up to 3 ABSs and 5 GUs, one or two
+periods, any mix of the three solvers, either objective weighting). Whenever
+`validate-config` exits 0, `run` must exit with a code from the documented
+table other than 1, write `summary.csv`, and record no code-1 failure.
+"""
+
+import tempfile
+from pathlib import Path
+
+import pytest
+import yaml
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+import absmove.cli as cli  # noqa: E402
+
+SOLVERS = ("online", "oracle", "kmeans-ea")
+
+
+@st.composite
+def tiny_configs(draw) -> dict:
+    step = draw(st.sampled_from([1.0, 2.0]))
+    steps_per_period = draw(st.integers(2, 6))
+    period = step * steps_per_period
+    flight_time = step * draw(st.integers(1, steps_per_period))
+    side = draw(st.sampled_from([100.0, 150.0, 200.0]))
+    low = draw(st.sampled_from([20.0, 40.0, 60.0]))
+    return {
+        "area": {"d1": side, "d2": side},
+        "grid": {k: draw(st.integers(1, 5)) for k in ("k1", "k2", "k1p", "k2p")},
+        "environment": {
+            "num_blocks": draw(st.integers(0, 6)),
+            "block_width": draw(st.sampled_from([10.0, 25.0, 40.0])),
+            "height_low": low,
+            "height_high": low + draw(st.sampled_from([0.0, 20.0, 60.0])),
+        },
+        "timing": {
+            "total_time": period * draw(st.integers(1, 2)),
+            "period": period,
+            "flight_time": flight_time,
+            "service_time": period - flight_time,
+            "planning_time": step * draw(st.integers(0, steps_per_period)),
+            "step": step,
+        },
+        "fleet": {
+            "n_abs": draw(st.integers(1, 3)),
+            "n_gus": draw(st.integers(1, 5)),
+            "abs_speed": draw(st.sampled_from([0.0, 5.0, 30.0])),
+            "gu_speed": draw(st.sampled_from([0.0, 2.0, 10.0])),
+        },
+        "solver": {
+            "duplication": draw(st.integers(1, 3)),
+            "ea_rounds": draw(st.integers(1, 20)),
+            "ea_mutation_radius": draw(st.sampled_from([None, 0.0, 40.0, 150.0])),
+            "oracle_branch_and_bound": draw(st.booleans()),
+        },
+        "options": {
+            "plan_before_start": draw(st.booleans()),
+            "weight_multiplicity": draw(st.booleans()),
+        },
+        "experiment": {
+            "seeds": [draw(st.integers(0, 1000))],
+            "solvers": draw(st.lists(st.sampled_from(SOLVERS), min_size=1, max_size=3,
+                                     unique=True)),
+        },
+    }
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(tiny_configs())
+def test_validated_config_runs_without_unexpected_error(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        if cli.main(["validate-config", str(path)]) != 0:
+            return
+        out = Path(tmp) / "run"
+        assert cli.main(["run", str(path), "--out", str(out)]) in {0, 2, 3, 4, 5}
+        assert (out / "summary.csv").exists()
+        failures = out / "failures.csv"
+        if failures.exists():
+            codes = [line.split(",")[4] for line in failures.read_text().splitlines()[1:]]
+            assert "1" not in codes

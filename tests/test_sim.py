@@ -20,6 +20,7 @@ from absmove import (
     assemble,
     build_gcm,
     cell_center_abs,
+    evaluate_placement,
     exact_optimum,
     feasible_sets,
     fly_step,
@@ -215,7 +216,7 @@ class TestPlanPeriod:
         expect = exact_optimum(inst, fs)
         assert rec.planned_value == expect.coverage_value
         assert rec.anchor_cells == (1, 25)
-        assert rec.report is not None and rec.report.iterations == 0
+        assert rec.report is None
 
     def test_kmeans_ea_plan_is_feasible(self, tiny_gcm):
         cfg = tiny_cfg(solver=SolverConfig(name="kmeans-ea", ea_rounds=50))
@@ -225,6 +226,19 @@ class TestPlanPeriod:
         rec = plan_period(state, tiny_gcm, cfg)
         assert len(set(rec.target_cells)) == 2
         assert rec.planned_value >= 0
+
+    @pytest.mark.parametrize("wm", [True, False])
+    @pytest.mark.parametrize("solver", ["online", "oracle", "kmeans-ea"])
+    def test_planned_value_is_the_instance_objective(self, tiny_gcm, solver, wm):
+        cfg = tiny_cfg(solver=SolverConfig(name=solver, duplication=2, ea_rounds=50),
+                       weight_multiplicity=wm)
+        # Every GU shares its grid with another, so users and grids differ.
+        gu = np.repeat(np.random.default_rng(11).uniform(0, 200, size=(4, 2)), 2, axis=0)
+        state = PlanState(anchor_cells=(3, 17), gu_positions=gu, period=2)
+        rec = plan_period(state, tiny_gcm, cfg)
+        assert rec.planned_value == evaluate_placement(
+            tiny_gcm, rec.target_cells, gu, weight_multiplicity=wm
+        )
 
     def test_online_plan_carries_report(self, tiny_gcm):
         cfg = tiny_cfg()
@@ -295,7 +309,7 @@ class TestRunTrial:
             covered = tiny_gcm.z[np.array(cells) - 1][:, grids - 1].any(axis=0)
             assert covered.mean() == pytest.approx(log.cr_simplified[i], abs=1e-12)
 
-    @pytest.mark.parametrize("solver", ["online", "oracle"])
+    @pytest.mark.parametrize("solver", ["online", "oracle", "kmeans-ea"])
     def test_planning_never_builds_the_encoding(self, tiny_env, tiny_gcm, monkeypatch, solver):
         built, assemble_ = [], sim.assemble
 
