@@ -129,7 +129,6 @@ class BilpInstance:
     z_sub: np.ndarray
     per_abs_pos: tuple[np.ndarray, ...]
     spec: GridSpec
-    total_gus: int
 
     @property
     def n_v(self) -> int:
@@ -219,14 +218,13 @@ def assemble(
         raise ValueError(
             f"feasible sets built for {len(fs.per_abs)} ABSs, instance needs {n_abs}"
         )
-    gu_positions = np.atleast_2d(np.asarray(gu_positions, dtype=float))
     v_ids, weights = occupied_grids(gcm.spec, gu_positions, weight_multiplicity)
     u_ids = fs.union.astype(np.int64)
     return BilpInstance(
         n_abs=n_abs, u_ids=u_ids, v_ids=v_ids, weights=weights,
         z_sub=gcm.z[np.ix_(u_ids - 1, v_ids - 1)],
         per_abs_pos=tuple(np.searchsorted(u_ids, ids) for ids in fs.per_abs),
-        spec=gcm.spec, total_gus=len(gu_positions),
+        spec=gcm.spec,
     )
 
 

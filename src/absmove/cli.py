@@ -65,16 +65,12 @@ def _fmt(v) -> str:
     return repr(v) if isinstance(v, float) else str(v)
 
 
-def _build_env(cfg: dict, env_seed: int) -> Environment:
-    e = cfg["environment"]
+def _build_env(tc: TrialConfig) -> Environment:
+    e = tc.env
     try:
         return generate_environment(
-            float(cfg["area"]["d1"]),
-            float(cfg["area"]["d2"]),
-            int(e["num_blocks"]),
-            float(e["block_width"]),
-            (float(e["height_low"]), float(e["height_high"])),
-            env_seed,
+            tc.spec.d1, tc.spec.d2, e.num_blocks, e.block_width,
+            (e.height_low, e.height_high), tc.env_seed,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -156,7 +152,7 @@ def cmd_validate_config(args) -> int:
 def cmd_build_gcm(args) -> int:
     cfg = load_config(args.config)
     tc = parse_trial_config(cfg)
-    env = _build_env(cfg, tc.env_seed)
+    env = _build_env(tc)
     gcm = build_gcm(env, tc.channel, tc.spec)
     out = _out_root(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -209,7 +205,7 @@ def cmd_run(args) -> int:
                 trial_dir = out / "trials" / tag / solver / f"seed{seed}"
                 try:
                     if seed not in shared:
-                        env = _build_env(combo_cfg, tc.env_seed)
+                        env = _build_env(tc)
                         shared[seed] = (env, _gcm_for(combo_cfg, tc, env, cache_dir))
                     env, gcm = shared[seed]
                     log = run_trial(tc, env, gcm)

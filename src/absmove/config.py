@@ -9,8 +9,10 @@ per-stream seeds are derived, never reused across streams.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -93,7 +95,7 @@ def _merge(defaults, override, path: str):
         out = {}
         for key, dv in defaults.items():
             here = f"{path}.{key}" if path else key
-            out[key] = _merge(dv, override[key], here) if key in override else dv
+            out[key] = _merge(dv, override[key], here) if key in override else copy.deepcopy(dv)
         unknown = set(override) - set(defaults)
         if unknown:
             where = path or "top level"
@@ -124,34 +126,41 @@ def load_config(path) -> dict:
     return merge_config(raw)
 
 
-def _grid_spec(cfg: dict) -> GridSpec:
-    a, g, ch = cfg["area"], cfg["grid"], cfg["channel"]
-    try:
-        return GridSpec(
-            d1=float(a["d1"]), d2=float(a["d2"]),
-            k1=int(g["k1"]), k2=int(g["k2"]), k1p=int(g["k1p"]), k2p=int(g["k2p"]),
-            abs_alt=float(ch["abs_alt"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+_KINDS = {int: "a whole number", float: "a finite number", bool: "true or false",
+          str: "a string", list: "a list"}
 
 
-def _channel_params(cfg: dict) -> ChannelParams:
-    ch = cfg["channel"]
-    try:
-        return ChannelParams(
-            tx_power_dbm=float(ch["tx_power_dbm"]),
-            noise_dbm=float(ch["noise_dbm"]),
-            carrier_ghz=float(ch["carrier_ghz"]),
-            k_min_db=float(ch["k_min_db"]),
-            k_max_db=float(ch["k_max_db"]),
-            snr_threshold_db=float(ch["snr_threshold_db"]),
-            outage_threshold=float(ch["outage_threshold"]),
-            abs_alt=float(ch["abs_alt"]),
-            gu_alt=float(ch["gu_alt"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _cast(value, kind: type, where: str):
+    """``value`` as ``kind``, or a ConfigError naming ``where``.
+
+    Numbers may be YAML ints, floats or numeric strings ("1e3"); an int key
+    takes a float only when it is whole, so 40.0 reads as 40 and 10.5 is
+    refused rather than truncated. Booleans are never numbers.
+    """
+    if kind in (int, float):
+        if not isinstance(value, bool):
+            try:
+                x = float(value)
+            except (TypeError, ValueError):
+                x = math.nan
+            if math.isfinite(x) and (kind is float or x.is_integer()):
+                return value if kind is int and isinstance(value, int) else kind(x)
+    elif isinstance(value, kind):
+        return value
+    raise ConfigError(f"{where} must be {_KINDS[kind]}, got {value!r}")
+
+
+def _get(cfg: dict, key: str, kind: type):
+    """The value at the dotted ``key`` of a merged config, cast by ``_cast``."""
+    value = cfg
+    for part in key.split("."):
+        value = value[part]
+    return _cast(value, kind, key)
+
+
+def _items(cfg: dict, key: str, kind: type) -> tuple:
+    """The list at the dotted ``key``, each item cast by ``_cast``."""
+    return tuple(_cast(v, kind, f"{key}[{i}]") for i, v in enumerate(_get(cfg, key, list)))
 
 
 def parse_trial_config(
@@ -164,48 +173,41 @@ def parse_trial_config(
     ``seed`` overrides the file's trial seed; ``solver_name`` swaps the
     solver while keeping its parameters.
     """
-    trial_seed = int(cfg["seed"] if seed is None else seed)
-    env = cfg["environment"]
-    sol = dict(cfg["solver"])
-    if solver_name is not None:
-        sol["name"] = solver_name
-    t, f, o = cfg["timing"], cfg["fleet"], cfg["options"]
+    trial_seed = _get(cfg, "seed", int) if seed is None else seed
+    radius = cfg["solver"]["ea_mutation_radius"]
     try:
         return TrialConfig(
-            spec=_grid_spec(cfg),
-            channel=_channel_params(cfg),
+            spec=GridSpec(
+                d1=_get(cfg, "area.d1", float), d2=_get(cfg, "area.d2", float),
+                **{k: _get(cfg, f"grid.{k}", int) for k in ("k1", "k2", "k1p", "k2p")},
+                abs_alt=_get(cfg, "channel.abs_alt", float),
+            ),
+            channel=ChannelParams(**{k: _get(cfg, f"channel.{k}", float) for k in cfg["channel"]}),
             env=EnvConfig(
-                num_blocks=int(env["num_blocks"]),
-                block_width=float(env["block_width"]),
-                height_low=float(env["height_low"]),
-                height_high=float(env["height_high"]),
+                num_blocks=_get(cfg, "environment.num_blocks", int),
+                **{k: _get(cfg, f"environment.{k}", float)
+                   for k in ("block_width", "height_low", "height_high")},
             ),
             solver=SolverConfig(
-                name=str(sol["name"]),
-                duplication=int(sol["duplication"]),
-                ea_rounds=int(sol["ea_rounds"]),
+                name=_get(cfg, "solver.name", str) if solver_name is None else solver_name,
+                duplication=_get(cfg, "solver.duplication", int),
+                ea_rounds=_get(cfg, "solver.ea_rounds", int),
                 ea_mutation_radius=(
-                    None if sol["ea_mutation_radius"] is None else float(sol["ea_mutation_radius"])
+                    None if radius is None else _cast(radius, float, "solver.ea_mutation_radius")
                 ),
-                oracle_cap=int(sol["oracle_cap"]),
-                oracle_branch_and_bound=bool(sol["oracle_branch_and_bound"]),
+                oracle_cap=_get(cfg, "solver.oracle_cap", int),
+                oracle_branch_and_bound=_get(cfg, "solver.oracle_branch_and_bound", bool),
             ),
-            total_time=float(t["total_time"]),
-            period=float(t["period"]),
-            flight_time=float(t["flight_time"]),
-            service_time=float(t["service_time"]),
-            planning_time=float(t["planning_time"]),
-            step=float(t["step"]),
-            n_abs=int(f["n_abs"]),
-            n_gus=int(f["n_gus"]),
-            abs_speed=float(f["abs_speed"]),
-            gu_speed=float(f["gu_speed"]),
+            **{k: _get(cfg, f"timing.{k}", float) for k in cfg["timing"]},
+            n_abs=_get(cfg, "fleet.n_abs", int),
+            n_gus=_get(cfg, "fleet.n_gus", int),
+            abs_speed=_get(cfg, "fleet.abs_speed", float),
+            gu_speed=_get(cfg, "fleet.gu_speed", float),
             env_seed=derive_seed(trial_seed, _STREAM_ENV),
             mobility_seed=derive_seed(trial_seed, _STREAM_MOBILITY),
             init_seed=derive_seed(trial_seed, _STREAM_INIT),
             solver_seed=derive_seed(trial_seed, _STREAM_SOLVER),
-            plan_before_start=bool(o["plan_before_start"]),
-            weight_multiplicity=bool(o["weight_multiplicity"]),
+            **{k: _get(cfg, f"options.{k}", bool) for k in cfg["options"]},
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -224,15 +226,14 @@ class ExperimentSpec:
 
 
 def parse_experiment(cfg: dict) -> ExperimentSpec:
-    exp = cfg["experiment"]
-    seeds = tuple(int(s) for s in exp["seeds"])
-    if not seeds:
-        raise ConfigError("experiment.seeds must be nonempty")
-    solvers = tuple(str(s) for s in exp["solvers"])
+    seeds = _items(cfg, "experiment.seeds", int)
+    if not seeds or min(seeds) < 0:
+        raise ConfigError("experiment.seeds must be a nonempty list of non-negative numbers")
+    solvers = _items(cfg, "experiment.solvers", str)
     if not solvers:
         raise ConfigError("experiment.solvers must be nonempty")
-    axis = exp["sweep"]["axis"]
-    values = tuple(exp["sweep"]["values"])
+    axis = cfg["experiment"]["sweep"]["axis"]
+    values = tuple(_get(cfg, "experiment.sweep.values", list))
     if axis is not None:
         if axis not in SWEEP_AXES:
             raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -249,31 +250,31 @@ def parse_experiment(cfg: dict) -> ExperimentSpec:
         solvers=solvers,
         sweep_axis=axis,
         sweep_values=values,
-        output_dir=str(exp["output_dir"]),
+        output_dir=_get(cfg, "experiment.output_dir", str),
     )
 
 
 def apply_sweep(cfg: dict, axis: str, value) -> dict:
     """Return a copy of the config with one sweep axis applied."""
     out = json.loads(json.dumps(cfg))  # deep copy of plain data
+    where = f"sweep value for {axis}"
     if axis == "grid_length":
+        length = _cast(value, float, where)
         for d_key, ks in (("d1", ("k1", "k1p")), ("d2", ("k2", "k2p"))):
-            d = out["area"][d_key]
-            k = d / float(value)
+            d = _get(out, f"area.{d_key}", float)
+            k = d / length if length > 0 else 0.0
             if abs(k - round(k)) > 1e-9 or round(k) < 1:
                 raise ConfigError(
                     f"grid length {value} does not divide {d_key}={d} into whole cells"
                 )
             for kk in ks:
                 out["grid"][kk] = int(round(k))
-    elif axis == "n_abs":
-        out["fleet"]["n_abs"] = int(value)
-    elif axis == "n_gus":
-        out["fleet"]["n_gus"] = int(value)
+    elif axis in ("n_abs", "n_gus"):
+        out["fleet"][axis] = _cast(value, int, where)
     elif axis == "num_blocks":
-        out["environment"]["num_blocks"] = int(value)
+        out["environment"]["num_blocks"] = _cast(value, int, where)
     elif axis == "gu_speed":
-        out["fleet"]["gu_speed"] = float(value)
+        out["fleet"]["gu_speed"] = _cast(value, float, where)
     else:
         raise ConfigError(f"unknown sweep axis {axis!r}")
     return out

@@ -9,7 +9,6 @@ wins, which turns extra compute directly into solution quality.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,37 +19,19 @@ from .errors import InfeasibleSetError
 
 @dataclass(frozen=True)
 class SolverReport:
-    """Outcome of one solve call, JSON-serializable via to_dict."""
+    """Outcome of one solve call: the best restart's placement, every
+    restart's repaired value, the a-priori gap bound and, when asked for,
+    each restart's dual trace."""
 
     placement: Placement
-    coverage_value: int
     restart_values: tuple[int, ...]
     best_restart: int
-    iterations: int
     gap_bound: float
-    step_size: float
-    duplication: int
-    seed: int
-    elapsed_s: float
     dual_trace: tuple[tuple[float, ...], ...] | None = None
 
-    def to_dict(self) -> dict:
-        out = {
-            "abs_cells": list(self.placement.abs_cells),
-            "positions": self.placement.positions.tolist(),
-            "coverage_value": self.coverage_value,
-            "restart_values": list(self.restart_values),
-            "best_restart": self.best_restart,
-            "iterations": self.iterations,
-            "gap_bound": self.gap_bound,
-            "step_size": self.step_size,
-            "duplication": self.duplication,
-            "seed": self.seed,
-            "elapsed_s": self.elapsed_s,
-        }
-        if self.dual_trace is not None:
-            out["dual_trace"] = [list(t) for t in self.dual_trace]
-        return out
+    @property
+    def coverage_value(self) -> int:
+        return self.placement.coverage_value
 
 
 def dual_objective(instance: BilpInstance, y: np.ndarray) -> float:
@@ -140,7 +121,7 @@ def _greedy_pass(
     return x, trace
 
 
-def decode_and_repair(x: np.ndarray, instance: BilpInstance, fs: FeasibleSets) -> Placement:
+def decode_and_repair(x: np.ndarray, instance: BilpInstance) -> Placement:
     """Turn a relaxed binary solution into a feasible placement.
 
     Selected cells beyond the ABS budget are dropped one at a time, always
@@ -245,11 +226,11 @@ def solve(
 
     Restart k draws from default_rng([seed, k]), so raising ``duplication``
     with the same seed reruns the exact same first restarts and can only
-    improve the returned coverage.
+    improve the returned coverage. The pools are read from ``instance``;
+    ``fs`` keeps the call shape ``exact_optimum`` shares.
     """
     if duplication < 1:
         raise ValueError("duplication must be at least 1")
-    t0 = time.perf_counter()
     best: Placement | None = None
     best_k = 0
     values: list[int] = []
@@ -257,24 +238,17 @@ def solve(
     for k in range(duplication):
         rng = np.random.default_rng([seed, k])
         x, trace = _greedy_pass(instance, rng, track_dual)
-        placement = decode_and_repair(x, instance, fs)
+        placement = decode_and_repair(x, instance)
         values.append(placement.coverage_value)
         if track_dual:
             traces.append(tuple(trace))
         if best is None or placement.coverage_value > best.coverage_value:
             best, best_k = placement, k
-    elapsed = time.perf_counter() - t0
     assert best is not None
     return SolverReport(
         placement=best,
-        coverage_value=best.coverage_value,
         restart_values=tuple(values),
         best_restart=best_k,
-        iterations=duplication * instance.n_cols,
         gap_bound=gap_bound(instance, duplication),
-        step_size=1.0 / math.sqrt(instance.n_cols),
-        duplication=duplication,
-        seed=seed,
-        elapsed_s=elapsed,
         dual_trace=tuple(traces) if track_dual else None,
     )

@@ -34,7 +34,7 @@ from .gcm import (
     cell_center_abs,
     nearest_valid_abs_cell,
 )
-from .online_solver import SolverReport, solve
+from .online_solver import solve
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,8 @@ class SolverConfig:
 
 def _check_multiple(name: str, value: float, step: float) -> int:
     k = value / step
-    if abs(k - round(k)) > 1e-9:
-        raise ConfigError(f"{name} ({value} s) must be an integer multiple of step ({step} s)")
+    if not math.isfinite(k) or abs(k - round(k)) > 1e-9:
+        raise ConfigError(f"{name} ({value} s) must be an integer multiple of {step} s")
     return int(round(k))
 
 
@@ -112,8 +112,8 @@ class TrialConfig:
     weight_multiplicity: bool = True
 
     def __post_init__(self) -> None:
-        if self.step <= 0:
-            raise ConfigError("step must be positive")
+        if min(self.step, self.period, self.total_time) <= 0:
+            raise ConfigError("step, period and total_time must be positive")
         if abs(self.flight_time + self.service_time - self.period) > 1e-9:
             raise ConfigError(
                 f"flight_time + service_time must equal period: "
@@ -124,9 +124,8 @@ class TrialConfig:
         _check_multiple("total_time", self.total_time, self.step)
         _check_multiple("period", self.period, self.step)
         _check_multiple("flight_time", self.flight_time, self.step)
-        k = self.total_time / self.period
-        if abs(k - round(k)) > 1e-9:
-            raise ConfigError("total_time must be an integer number of periods")
+        if _check_multiple("total_time", self.total_time, self.period) < 1:
+            raise ConfigError("total_time must span at least one period")
         if self.n_abs < 1 or self.n_gus < 1:
             raise ConfigError("n_abs and n_gus must be at least 1")
         if self.solver.name == "kmeans-ea" and self.n_gus < self.n_abs:
@@ -191,7 +190,7 @@ class PeriodRecord:
     planned_value: int
     planning_time_s: float
     over_budget: bool
-    report: SolverReport | None = None
+    gap_bound: float | None = None
 
 
 @dataclass(frozen=True)
@@ -308,9 +307,9 @@ def plan_period(state: PlanState, gcm: Gcm, cfg: TrialConfig) -> PeriodRecord:
     """Solve one placement instance from the frozen planning inputs.
 
     Every solver plans from the same assembled instance; only the online
-    solver returns a report. Wall time is measured and compared against the
-    planning budget; an overrun is flagged in the record but never aborts
-    the trial.
+    solver gives a gap bound. Wall time is measured and compared against
+    the planning budget; an overrun is flagged in the record but never
+    aborts the trial.
     """
     anchor_xy = np.stack([cell_center_abs(gcm.spec, c)[:2] for c in state.anchor_cells])
     t0 = time.perf_counter()
@@ -319,7 +318,7 @@ def plan_period(state: PlanState, gcm: Gcm, cfg: TrialConfig) -> PeriodRecord:
     )
     instance = assemble(gcm, fs, state.gu_positions, cfg.n_abs, cfg.weight_multiplicity)
     sc = cfg.solver
-    report = None
+    bound = None
     if sc.name == "kmeans-ea":
         start = kmeans_init(
             instance, state.gu_positions, _period_seed(cfg.solver_seed, state.period, 1)
@@ -339,7 +338,7 @@ def plan_period(state: PlanState, gcm: Gcm, cfg: TrialConfig) -> PeriodRecord:
             duplication=sc.duplication,
             seed=_period_seed(cfg.solver_seed, state.period, 0),
         )
-        placement = report.placement
+        placement, bound = report.placement, report.gap_bound
     elapsed = time.perf_counter() - t0
     return PeriodRecord(
         period=state.period,
@@ -349,7 +348,7 @@ def plan_period(state: PlanState, gcm: Gcm, cfg: TrialConfig) -> PeriodRecord:
         planned_value=placement.coverage_value,
         planning_time_s=elapsed,
         over_budget=elapsed > cfg.planning_time,
-        report=report,
+        gap_bound=bound,
     )
 
 
@@ -552,10 +551,10 @@ def export_periods_csv(log: TrialLog, path) -> None:
     for rec in log.periods:
         anchor = ";".join(str(c) for c in rec.anchor_cells)
         target = ";".join(str(c) for c in rec.target_cells)
-        bound = rec.report.gap_bound if rec.report is not None else 0.0
+        bound = "" if rec.gap_bound is None else repr(rec.gap_bound)
         lines.append(
             f"{rec.period},{rec.trigger_step},{anchor},{target},{rec.planned_value},"
-            f"{rec.planning_time_s!r},{int(rec.over_budget)},{bound!r}"
+            f"{rec.planning_time_s!r},{int(rec.over_budget)},{bound}"
         )
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -126,7 +126,6 @@ class TestAssembleProperties:
         assert inst.r[: inst.n_v].sum() == 4.0
         plain = assemble(empty_gcm, fs, gus, n_abs=1, weight_multiplicity=False)
         assert plain.weights.tolist() == [1, 1]
-        assert inst.total_gus == plain.total_gus == 4
 
     def test_encoding_built_on_first_access_only(self):
         _, _, _, inst = random_instance(4, n_abs=2)

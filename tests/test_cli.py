@@ -96,6 +96,36 @@ class TestValidateConfig:
         assert "ea_mutation_radius" in capsys.readouterr().err
         assert not (out / "trials").exists()
 
+    @pytest.mark.parametrize("over", [
+        {"fleet": {"n_abs": None}},
+        {"area": {"d1": None}},
+        {"channel": {"k_min_db": None}},
+        {"solver": {"duplication": [3]}},
+        {"seed": None},
+        {"experiment": {"seeds": 5}},
+        {"experiment": {"seeds": ["a"]}},
+        {"experiment": {"sweep": {"axis": "n_abs", "values": 3}}},
+        {"experiment": {"sweep": {"axis": "n_abs", "values": ["x"]}}},
+        {"fleet": {"n_abs": 2.7}},
+        {"grid": {"k1": 10.5}},
+        {"experiment": {"solvers": 5}},
+        {"experiment": {"seeds": [-1]}},
+        {"options": {"plan_before_start": "x"}},
+    ], ids=repr)
+    def test_malformed_value_exits_2(self, tmp_path, capsys, over):
+        cfg = write_cfg(tmp_path / "s.yaml", **over)
+        assert cli.main(["validate-config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        out = tmp_path / "run"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (out / "trials").exists()
+
+    def test_whole_float_counts_are_accepted(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "s.yaml", grid={"k1": 5.0}, fleet={"n_abs": 2.0})
+        assert cli.main(["validate-config", str(cfg)]) == 0
+        assert "grids 5x5" in capsys.readouterr().out
+
     def test_usage_error(self, capsys):
         assert cli.main([]) == 2
         capsys.readouterr()

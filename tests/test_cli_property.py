@@ -1,9 +1,12 @@
-"""Property test: a config that `validate-config` accepts never crashes `run`.
+"""Property tests: a config that `validate-config` accepts never crashes `run`,
+and a malformed value never crashes `validate-config`.
 
 Random tiny scenarios (grids up to 5x5, up to 3 ABSs and 5 GUs, one or two
 periods, any mix of the three solvers, either objective weighting). Whenever
 `validate-config` exits 0, `run` must exit with a code from the documented
-table other than 1, write `summary.csv`, and record no code-1 failure.
+table other than 1, write `summary.csv`, and record no code-1 failure. With
+one leaf of such a scenario (defaults filled in) replaced by null, a list, a
+string or a non-integral float, `validate-config` exits 0 or 2, never 1.
 """
 
 import tempfile
@@ -16,6 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import absmove.cli as cli  # noqa: E402
+from absmove.config import merge_config  # noqa: E402
 
 SOLVERS = ("online", "oracle", "kmeans-ea")
 
@@ -84,3 +88,42 @@ def test_validated_config_runs_without_unexpected_error(raw):
         if failures.exists():
             codes = [line.split(",")[4] for line in failures.read_text().splitlines()[1:]]
             assert "1" not in codes
+
+
+def _leaf_paths(tree, path=()):
+    """Key paths of every scalar or list in a config tree, and of list items."""
+    if isinstance(tree, dict):
+        for key, sub in tree.items():
+            yield from _leaf_paths(sub, path + (key,))
+        return
+    yield path
+    if isinstance(tree, list):
+        yield from (path + (i,) for i in range(len(tree)))
+
+
+MALFORMED = st.one_of(
+    st.none(),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.text(max_size=3),
+    st.floats(-1e3, 1e3).filter(lambda f: not f.is_integer()),
+)
+
+
+@st.composite
+def malformed_configs(draw) -> dict:
+    cfg = merge_config(draw(tiny_configs()))
+    path = draw(st.sampled_from(list(_leaf_paths(cfg))))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = draw(MALFORMED)
+    return cfg
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(malformed_configs())
+def test_malformed_value_never_crashes_validation(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert cli.main(["validate-config", str(path)]) in {0, 2}

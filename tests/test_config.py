@@ -31,7 +31,11 @@ class TestMerge:
 
     def test_defaults_not_mutated(self):
         before = copy.deepcopy(DEFAULTS)
-        merge_config({"area": {"d1": 250.0}, "seed": 9})
+        cfg = merge_config({"area": {"d1": 250.0}, "seed": 9})
+        assert DEFAULTS == before
+        # Sections taken whole from the defaults are copies, not aliases.
+        cfg["channel"]["k_min_db"] = None
+        cfg["experiment"]["seeds"].append(5)
         assert DEFAULTS == before
 
     def test_unknown_top_level_key(self):

@@ -24,6 +24,7 @@ from absmove import (
     exact_optimum,
     feasible_sets,
     fly_step,
+    gap_bound,
     gu_cells_of_positions,
     nearest_valid_abs_cell,
     obstructed_mask,
@@ -89,6 +90,15 @@ class TestTrialConfig:
             tiny_cfg(step=7.0)
         with pytest.raises(ConfigError):
             tiny_cfg(total_time=50.0)
+
+    @pytest.mark.parametrize("timing", [
+        {"step": 1e-320},
+        {"total_time": 1e-320},
+        {"period": 0.0, "flight_time": 0.0, "service_time": 0.0, "planning_time": 0.0},
+    ])
+    def test_degenerate_timing_is_config_error(self, timing):
+        with pytest.raises(ConfigError):
+            tiny_cfg(**timing)
 
     def test_altitude_consistency(self):
         with pytest.raises(ConfigError):
@@ -216,7 +226,7 @@ class TestPlanPeriod:
         expect = exact_optimum(inst, fs)
         assert rec.planned_value == expect.coverage_value
         assert rec.anchor_cells == (1, 25)
-        assert rec.report is None
+        assert rec.gap_bound is None
 
     def test_kmeans_ea_plan_is_feasible(self, tiny_gcm):
         cfg = tiny_cfg(solver=SolverConfig(name="kmeans-ea", ea_rounds=50))
@@ -246,9 +256,11 @@ class TestPlanPeriod:
         gu = rng.uniform(0, 200, size=(6, 2))
         state = PlanState(anchor_cells=(1, 2), gu_positions=gu, period=3)
         rec = plan_period(state, tiny_gcm, cfg)
-        assert rec.report is not None
-        assert rec.report.duplication == cfg.solver.duplication
-        assert rec.planned_value == rec.report.coverage_value
+        anchors = np.stack([cell_center_abs(cfg.spec, c)[:2] for c in (1, 2)])
+        fs = feasible_sets(anchors, cfg.spec, None, cfg.movement_radius,
+                           valid=tiny_gcm.abs_cell_valid)
+        instance = assemble(tiny_gcm, fs, gu, 2)
+        assert rec.gap_bound == gap_bound(instance, cfg.solver.duplication)
 
 
 class TestRunTrial:
@@ -444,6 +456,26 @@ class TestExports:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1 + len(log.periods)
         assert lines[1].startswith("1,-1,")
+
+    @pytest.mark.parametrize("before", [False, True])
+    @pytest.mark.parametrize("solver", ["online", "oracle", "kmeans-ea"])
+    def test_periods_csv_gap_bound(self, tmp_path, tiny_env, tiny_gcm, solver, before):
+        cfg = tiny_cfg(solver=SolverConfig(name=solver, duplication=2, ea_rounds=50),
+                       plan_before_start=before)
+        log = run_trial(cfg, tiny_env, tiny_gcm)
+        path = tmp_path / "periods.csv"
+        export_periods_csv(log, path)
+        lines = path.read_text().splitlines()
+        col = lines[0].split(",").index("gap_bound")
+        fields = [ln.split(",")[col] for ln in lines[1:]]
+        assert len(fields) == len(log.periods) == cfg.n_periods
+        for rec, field in zip(log.periods, fields):
+            if solver == "online" and rec.trigger_step >= 0:
+                assert rec.gap_bound > 0.0 and field == repr(rec.gap_bound)
+            else:
+                assert rec.gap_bound is None and field == ""
+        # Only an unplanned first period writes a placeholder row.
+        assert (log.periods[0].trigger_step < 0) == (not before)
 
     def test_trajectory_json(self, tmp_path, tiny_env, tiny_gcm):
         log = run_trial(tiny_cfg(), tiny_env, tiny_gcm)
