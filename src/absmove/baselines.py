@@ -104,7 +104,7 @@ def exact_optimum(
     for slot, i in enumerate(order):
         by_abs[i] = best_cells[slot]
     cells = instance.u_ids[np.array(by_abs, dtype=int)]
-    return make_placement(instance.spec, cells, best_val)
+    return make_placement(cells, best_val)
 
 
 def kmeans_centroids(gu_positions, n: int, seed: int = 0) -> np.ndarray:
@@ -157,7 +157,7 @@ def kmeans_init(instance: BilpInstance, gu_positions, seed: int = 0) -> Placemen
         else:
             raise InfeasibleSetError(f"no distinct cell left for ABS {i}")
     value = covered_weight(instance.z_sub, chosen, instance.weights)
-    return make_placement(instance.spec, instance.u_ids[chosen], value)
+    return make_placement(instance.u_ids[chosen], value)
 
 
 def ea_step(
@@ -212,4 +212,4 @@ def ea_step(
         val = covered_weight(instance.z_sub, cand, instance.weights)
         if val > best_val:
             best_pos, best_val = cand, val
-    return make_placement(instance.spec, instance.u_ids[best_pos], best_val)
+    return make_placement(instance.u_ids[best_pos], best_val)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InfeasibleSetError
-from .gcm import Gcm, GridSpec, abs_cell_centers, cell_center_abs, gu_cells_of_positions, valid_abs_cells
+from .gcm import Gcm, GridSpec, abs_cell_centers, gu_cells_of_positions, valid_abs_cells
 from .env import Environment
 
 
@@ -32,12 +32,11 @@ class FeasibleSets:
     radius: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Placement:
     """One traversal cell per ABS; cells are distinct, indices 1-based."""
 
     abs_cells: tuple[int, ...]
-    positions: np.ndarray
     coverage_value: int
 
     def __post_init__(self) -> None:
@@ -47,10 +46,8 @@ class Placement:
             raise ValueError(f"placement cells must be distinct, got {self.abs_cells}")
 
 
-def make_placement(spec: GridSpec, cells, coverage_value: int) -> Placement:
-    cells = tuple(int(c) for c in cells)
-    positions = np.stack([cell_center_abs(spec, c) for c in cells])
-    return Placement(abs_cells=cells, positions=positions, coverage_value=int(coverage_value))
+def make_placement(cells, coverage_value: int) -> Placement:
+    return Placement(abs_cells=tuple(int(c) for c in cells), coverage_value=int(coverage_value))
 
 
 def feasible_sets(

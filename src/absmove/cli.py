@@ -67,13 +67,8 @@ def _fmt(v) -> str:
 
 def _build_env(tc: TrialConfig) -> Environment:
     e = tc.env
-    try:
-        return generate_environment(
-            tc.spec.d1, tc.spec.d2, e.num_blocks, e.block_width,
-            (e.height_low, e.height_high), tc.env_seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return generate_environment(tc.spec.d1, tc.spec.d2, e.num_blocks, e.block_width,
+                                (e.height_low, e.height_high), tc.env_seed)
 
 
 def _write_cache_entry(gcm: Gcm, gcm_path: Path, key: str) -> Path:

@@ -3,8 +3,9 @@
 A scenario is one YAML mapping; every key has a default chosen so that an
 empty file reproduces the reference setup (1000x1000 m area, 25 m grids,
 300 blocks, N=2 ABSs at 90 m, M=20 GUs, 200 s trials with 20 s periods).
-Unknown keys fail loudly. All randomness flows from the named seeds here;
-per-stream seeds are derived, never reused across streams.
+Sections that set dataclass fields take each key's default and type from
+its field. Unknown keys fail loudly. All randomness flows from the named
+seeds here; per-stream seeds are derived, never reused across streams.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import copy
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,45 +28,34 @@ from .sim import EnvConfig, SolverConfig, TrialConfig
 
 CONFIG_VERSION = 1
 
+
+def _fields(cls: type, names: str | None = None) -> dict:
+    """``{name: (default, type, nullable)}`` for the named fields of ``cls``."""
+    hints = typing.get_type_hints(cls)
+    out = {}
+    for f in fields(cls):
+        if names is None or f.name in names.split():
+            args = typing.get_args(hints[f.name])  # (float, NoneType) for float | None
+            out[f.name] = (f.default, args[0] if args else hints[f.name], type(None) in args)
+    return out
+
+
+# The config sections whose keys, defaults and types are dataclass fields.
+_SECTIONS = {
+    "channel": _fields(ChannelParams),
+    "environment": _fields(EnvConfig),
+    "timing": _fields(TrialConfig, "total_time period flight_time service_time planning_time step"),
+    "fleet": _fields(TrialConfig, "n_abs n_gus abs_speed gu_speed"),
+    "solver": _fields(SolverConfig),
+    "options": _fields(TrialConfig, "plan_before_start weight_multiplicity"),
+}
+
 DEFAULTS: dict = {
     "version": CONFIG_VERSION,
     "area": {"d1": 1000.0, "d2": 1000.0},
     "grid": {"k1": 40, "k2": 40, "k1p": 40, "k2p": 40},
-    "channel": {
-        "tx_power_dbm": 5.0,
-        "noise_dbm": -112.0,
-        "carrier_ghz": 2.0,
-        "k_min_db": 0.0,
-        "k_max_db": 30.0,
-        "snr_threshold_db": 3.0,
-        "outage_threshold": 0.1,
-        "abs_alt": 90.0,
-        "gu_alt": 1.0,
-    },
-    "environment": {
-        "num_blocks": 300,
-        "block_width": 25.0,
-        "height_low": 30.0,
-        "height_high": 89.0,
-    },
-    "timing": {
-        "total_time": 200.0,
-        "period": 20.0,
-        "flight_time": 10.0,
-        "service_time": 10.0,
-        "planning_time": 5.0,
-        "step": 1.0,
-    },
-    "fleet": {"n_abs": 2, "n_gus": 20, "abs_speed": 30.0, "gu_speed": 2.0},
-    "solver": {
-        "name": "online",
-        "duplication": 3,
-        "ea_rounds": 3000,
-        "ea_mutation_radius": None,
-        "oracle_cap": 5_000_000,
-        "oracle_branch_and_bound": True,
-    },
-    "options": {"plan_before_start": False, "weight_multiplicity": True},
+    **{name: {k: default for k, (default, _, _) in keys.items()}
+       for name, keys in _SECTIONS.items()},
     "seed": 0,
     "experiment": {
         "seeds": [0],
@@ -74,7 +65,9 @@ DEFAULTS: dict = {
     },
 }
 
-SWEEP_AXES = ("grid_length", "n_abs", "n_gus", "num_blocks", "gu_speed")
+# Sweep axes other than grid_length, each with the section of its key.
+_SWEEP_KEYS = {"n_abs": "fleet", "n_gus": "fleet", "num_blocks": "environment", "gu_speed": "fleet"}
+SWEEP_AXES = ("grid_length", *_SWEEP_KEYS)
 
 # Streams hanging off one trial seed; never reuse an index for a new purpose.
 _STREAM_ENV = 0
@@ -163,6 +156,15 @@ def _items(cfg: dict, key: str, kind: type) -> tuple:
     return tuple(_cast(v, kind, f"{key}[{i}]") for i, v in enumerate(_get(cfg, key, list)))
 
 
+def _section(cfg: dict, name: str) -> dict:
+    """One dataclass-backed section of a merged config, cast by its field types."""
+    return {
+        key: None if cfg[name][key] is None and nullable
+        else _cast(cfg[name][key], kind, f"{name}.{key}")
+        for key, (_, kind, nullable) in _SECTIONS[name].items()
+    }
+
+
 def parse_trial_config(
     cfg: dict,
     seed: int | None = None,
@@ -174,40 +176,26 @@ def parse_trial_config(
     solver while keeping its parameters.
     """
     trial_seed = _get(cfg, "seed", int) if seed is None else seed
-    radius = cfg["solver"]["ea_mutation_radius"]
+    sec = {name: _section(cfg, name) for name in _SECTIONS}
+    if solver_name is not None:
+        sec["solver"]["name"] = solver_name
     try:
         return TrialConfig(
             spec=GridSpec(
                 d1=_get(cfg, "area.d1", float), d2=_get(cfg, "area.d2", float),
                 **{k: _get(cfg, f"grid.{k}", int) for k in ("k1", "k2", "k1p", "k2p")},
-                abs_alt=_get(cfg, "channel.abs_alt", float),
+                abs_alt=sec["channel"]["abs_alt"],
             ),
-            channel=ChannelParams(**{k: _get(cfg, f"channel.{k}", float) for k in cfg["channel"]}),
-            env=EnvConfig(
-                num_blocks=_get(cfg, "environment.num_blocks", int),
-                **{k: _get(cfg, f"environment.{k}", float)
-                   for k in ("block_width", "height_low", "height_high")},
-            ),
-            solver=SolverConfig(
-                name=_get(cfg, "solver.name", str) if solver_name is None else solver_name,
-                duplication=_get(cfg, "solver.duplication", int),
-                ea_rounds=_get(cfg, "solver.ea_rounds", int),
-                ea_mutation_radius=(
-                    None if radius is None else _cast(radius, float, "solver.ea_mutation_radius")
-                ),
-                oracle_cap=_get(cfg, "solver.oracle_cap", int),
-                oracle_branch_and_bound=_get(cfg, "solver.oracle_branch_and_bound", bool),
-            ),
-            **{k: _get(cfg, f"timing.{k}", float) for k in cfg["timing"]},
-            n_abs=_get(cfg, "fleet.n_abs", int),
-            n_gus=_get(cfg, "fleet.n_gus", int),
-            abs_speed=_get(cfg, "fleet.abs_speed", float),
-            gu_speed=_get(cfg, "fleet.gu_speed", float),
+            channel=ChannelParams(**sec["channel"]),
+            env=EnvConfig(**sec["environment"]),
+            solver=SolverConfig(**sec["solver"]),
+            **sec["timing"],
+            **sec["fleet"],
+            **sec["options"],
             env_seed=derive_seed(trial_seed, _STREAM_ENV),
             mobility_seed=derive_seed(trial_seed, _STREAM_MOBILITY),
             init_seed=derive_seed(trial_seed, _STREAM_INIT),
             solver_seed=derive_seed(trial_seed, _STREAM_SOLVER),
-            **{k: _get(cfg, f"options.{k}", bool) for k in cfg["options"]},
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -225,13 +213,22 @@ class ExperimentSpec:
     output_dir: str
 
 
+def _once(items, key: str, shown=None) -> None:
+    """Refuse a list that names one trial twice, naming the repeat as ``shown``."""
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise ConfigError(f"{key} lists {(shown or items)[i]!r} more than once")
+
+
 def parse_experiment(cfg: dict) -> ExperimentSpec:
     seeds = _items(cfg, "experiment.seeds", int)
     if not seeds or min(seeds) < 0:
         raise ConfigError("experiment.seeds must be a nonempty list of non-negative numbers")
+    _once(seeds, "experiment.seeds")
     solvers = _items(cfg, "experiment.solvers", str)
     if not solvers:
         raise ConfigError("experiment.solvers must be nonempty")
+    _once(solvers, "experiment.solvers")
     axis = cfg["experiment"]["sweep"]["axis"]
     values = tuple(_get(cfg, "experiment.sweep.values", list))
     if axis is not None:
@@ -239,9 +236,11 @@ def parse_experiment(cfg: dict) -> ExperimentSpec:
             raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
         if not values:
             raise ConfigError("sweep.values must be nonempty when an axis is set")
+    combos = [cfg] if axis is None else [apply_sweep(cfg, axis, v) for v in values]
+    _once(combos, "experiment.sweep.values", values)
     # Parse every solver x sweep value once, so an unknown solver or an
     # impossible combination fails here, before any trial of the batch runs.
-    for combo in [cfg] if axis is None else [apply_sweep(cfg, axis, v) for v in values]:
+    for combo in combos:
         for name in solvers:
             parse_trial_config(combo, solver_name=name)
     return ExperimentSpec(
@@ -269,12 +268,9 @@ def apply_sweep(cfg: dict, axis: str, value) -> dict:
                 )
             for kk in ks:
                 out["grid"][kk] = int(round(k))
-    elif axis in ("n_abs", "n_gus"):
-        out["fleet"][axis] = _cast(value, int, where)
-    elif axis == "num_blocks":
-        out["environment"]["num_blocks"] = _cast(value, int, where)
-    elif axis == "gu_speed":
-        out["fleet"]["gu_speed"] = _cast(value, float, where)
+    elif axis in _SWEEP_KEYS:
+        section = _SWEEP_KEYS[axis]
+        out[section][axis] = _cast(value, _SECTIONS[section][axis][1], where)
     else:
         raise ConfigError(f"unknown sweep axis {axis!r}")
     return out

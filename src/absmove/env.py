@@ -77,6 +77,31 @@ class Environment:
         return np.array([b.height for b in self.blocks])
 
 
+def check_layout(
+    d1: float,
+    d2: float,
+    num_blocks: int,
+    block_width: float,
+    height_range: tuple[float, float],
+) -> None:
+    """Raise ValueError unless the block layout can be asked of the area.
+
+    A layout that passes may still jam the random placement, which
+    ``generate_environment`` reports as EnvironmentTooDenseError.
+    """
+    if d1 <= 0.0 or d2 <= 0.0:
+        raise ValueError("area dimensions must be positive")
+    if num_blocks < 0:
+        raise ValueError("num_blocks must be non-negative")
+    if block_width <= 0.0 or block_width > min(d1, d2):
+        raise ValueError(f"block_width {block_width} does not fit the area")
+    h_lo, h_hi = height_range
+    if not (0.0 < h_lo <= h_hi):
+        raise ValueError(f"invalid height range {height_range}")
+    if num_blocks * block_width**2 >= d1 * d2:
+        raise ValueError("total block footprint exceeds the area")
+
+
 def generate_environment(
     d1: float,
     d2: float,
@@ -91,20 +116,11 @@ def generate_environment(
     Footprints lie fully inside [0, d1] x [0, d2] and have pairwise disjoint
     interiors (touching edges are allowed). Heights are uniform over
     ``height_range``. Rejection sampling with a bounded retry budget; raises
+    ValueError on a layout ``check_layout`` refuses and
     EnvironmentTooDenseError when a block cannot be placed.
     """
-    if d1 <= 0.0 or d2 <= 0.0:
-        raise ValueError("area dimensions must be positive")
-    if num_blocks < 0:
-        raise ValueError("num_blocks must be non-negative")
-    if block_width <= 0.0 or block_width > min(d1, d2):
-        raise ValueError(f"block_width {block_width} does not fit the area")
+    check_layout(d1, d2, num_blocks, block_width, height_range)
     h_lo, h_hi = height_range
-    if not (0.0 < h_lo <= h_hi):
-        raise ValueError(f"invalid height range {height_range}")
-    if num_blocks * block_width**2 >= d1 * d2:
-        raise ValueError("total block footprint exceeds the area")
-
     rng = np.random.default_rng(seed)
     heights = rng.uniform(h_lo, h_hi, size=num_blocks)
     half = block_width / 2.0

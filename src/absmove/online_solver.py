@@ -212,7 +212,7 @@ def decode_and_repair(x: np.ndarray, instance: BilpInstance) -> Placement:
 
     final = [c for c in assign if c is not None]
     cells = instance.u_ids[np.array(final, dtype=int)]
-    return make_placement(instance.spec, cells, covered_weight(z, final, w))
+    return make_placement(cells, covered_weight(z, final, w))
 
 
 def solve(

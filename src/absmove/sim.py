@@ -25,34 +25,23 @@ import numpy as np
 from .baselines import EaConfig, ea_step, exact_optimum, kmeans_centroids, kmeans_init  # noqa: F401
 from .bilp import assemble, evaluate_placement, feasible_sets
 from .channel import ChannelParams, coverage_mask
-from .env import Environment, generate_environment, obstructed_mask
+from .env import Environment, check_layout, obstructed_mask
 from .errors import ConfigError, ContractViolationError, InfeasibleSetError
-from .gcm import (
-    Gcm,
-    GridSpec,
-    build_gcm,
-    cell_center_abs,
-    nearest_valid_abs_cell,
-)
+from .gcm import Gcm, GridSpec, cell_center_abs, nearest_valid_abs_cell
 from .online_solver import solve
 
 
 @dataclass(frozen=True)
 class EnvConfig:
-    """Building layout knobs; the area size comes from the grid spec."""
+    """Building layout knobs; the area size comes from the grid spec.
+
+    TrialConfig checks the layout against the area with ``check_layout``.
+    """
 
     num_blocks: int = 300
     block_width: float = 25.0
     height_low: float = 30.0
     height_high: float = 89.0
-
-    def __post_init__(self) -> None:
-        if self.num_blocks < 0:
-            raise ConfigError("num_blocks must be non-negative")
-        if self.block_width <= 0:
-            raise ConfigError("block_width must be positive")
-        if not 0 < self.height_low <= self.height_high:
-            raise ConfigError("heights must satisfy 0 < low <= high")
 
 
 @dataclass(frozen=True)
@@ -112,6 +101,12 @@ class TrialConfig:
     weight_multiplicity: bool = True
 
     def __post_init__(self) -> None:
+        e = self.env
+        try:
+            check_layout(self.spec.d1, self.spec.d2, e.num_blocks, e.block_width,
+                         (e.height_low, e.height_high))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if min(self.step, self.period, self.total_time) <= 0:
             raise ConfigError("step, period and total_time must be positive")
         if abs(self.flight_time + self.service_time - self.period) > 1e-9:
@@ -352,24 +347,8 @@ def plan_period(state: PlanState, gcm: Gcm, cfg: TrialConfig) -> PeriodRecord:
     )
 
 
-def run_trial(
-    cfg: TrialConfig,
-    environment: Environment | None = None,
-    gcm: Gcm | None = None,
-) -> TrialLog:
+def run_trial(cfg: TrialConfig, environment: Environment, gcm: Gcm) -> TrialLog:
     """Execute one full trial and log both coverage modes every step."""
-    if environment is None:
-        environment = generate_environment(
-            cfg.spec.d1,
-            cfg.spec.d2,
-            cfg.env.num_blocks,
-            cfg.env.block_width,
-            (cfg.env.height_low, cfg.env.height_high),
-            cfg.env_seed,
-        )
-    if gcm is None:
-        gcm = build_gcm(environment, cfg.channel, cfg.spec)
-
     n, m = cfg.n_abs, cfg.n_gus
     i_total, j_steps = cfg.n_steps, cfg.steps_per_period
     rng_init = np.random.default_rng([cfg.init_seed])
@@ -388,25 +367,27 @@ def run_trial(
     for e in range(first_planned, cfg.n_periods + 1):
         triggers.setdefault(max(0, (e - 1) * j_steps - cfg.lead_steps), []).append(e)
 
-    current_cells = start_cells
-    flight_target: np.ndarray | None = None
-    target_cells: tuple[int, ...] | None = None
-    # Where the ABSs will sit at the start of the period being planned for:
-    # the most recently planned targets, activated or not.
-    latest_plan_cells: tuple[int, ...] | None = None
-    pending: dict[int, PeriodRecord] = {}
     records: dict[int, PeriodRecord] = {}
+    if not cfg.plan_before_start:
+        # The only unplanned period: the ABSs hold their start cells.
+        records[1] = PeriodRecord(
+            period=1,
+            trigger_step=-1,
+            anchor_cells=start_cells,
+            target_cells=start_cells,
+            planned_value=-1,
+            planning_time_s=0.0,
+            over_budget=False,
+        )
+    # Where the ABSs will sit when the next planned period starts.
+    anchor = start_cells
 
     def fire_trigger(step_idx: int) -> None:
-        nonlocal latest_plan_cells
+        nonlocal anchor
         for e in sorted(triggers.get(step_idx, [])):
-            anchor = latest_plan_cells if latest_plan_cells is not None else current_cells
-            state = PlanState(anchor_cells=tuple(anchor), gu_positions=gu_pos.copy(), period=e)
-            rec = plan_period(state, gcm, cfg)
-            rec = replace(rec, trigger_step=step_idx)
-            pending[e] = rec
-            records[e] = rec
-            latest_plan_cells = rec.target_cells
+            state = PlanState(anchor_cells=anchor, gu_positions=gu_pos.copy(), period=e)
+            records[e] = replace(plan_period(state, gcm, cfg), trigger_step=step_idx)
+            anchor = records[e].target_cells
 
     abs_hist = np.empty((i_total + 1, n, 3))
     gu_hist = np.empty((i_total + 1, m, 2))
@@ -424,41 +405,21 @@ def run_trial(
 
         step_in_period = (i - 1) % j_steps  # 0 on a period's first step
         if step_in_period == 0:
-            e = (i - 1) // j_steps + 1
-            rec = pending.pop(e, None)
-            if rec is not None:
-                target_cells = rec.target_cells
-                tgt = np.stack([cell_center_abs(cfg.spec, c) for c in target_cells])
-                far = np.linalg.norm(tgt[:, :2] - abs_pos[:, :2], axis=1)
-                if np.any(far > cfg.movement_radius * (1.0 + 1e-9)):
-                    raise ContractViolationError(
-                        "planned target outside the reachable flight radius"
-                    )
-                flight_target = tgt
-            else:
-                records.setdefault(
-                    e,
-                    PeriodRecord(
-                        period=e,
-                        trigger_step=-1,
-                        anchor_cells=current_cells,
-                        target_cells=current_cells,
-                        planned_value=-1,
-                        planning_time_s=0.0,
-                        over_budget=False,
-                    ),
-                )
+            # Every period flies to its record's targets; an unplanned
+            # period's targets are where the ABSs already are.
+            flown = records[(i - 1) // j_steps + 1]
+            flight_target = np.stack([cell_center_abs(cfg.spec, c) for c in flown.target_cells])
+            far = np.linalg.norm(flight_target[:, :2] - abs_pos[:, :2], axis=1)
+            if np.any(far > cfg.movement_radius * (1.0 + 1e-9)):
+                raise ContractViolationError("planned target outside the reachable flight radius")
 
-        if flight_target is not None and step_in_period < cfg.flight_steps:
+        if step_in_period < cfg.flight_steps:
             time_left = cfg.flight_time - step_in_period * cfg.step
             abs_pos = fly_step(abs_pos, flight_target, cfg.abs_speed, cfg.step, time_left)
             if step_in_period == cfg.flight_steps - 1:
-                assert target_cells is not None
                 if not np.allclose(abs_pos, flight_target, atol=1e-6):
                     raise ContractViolationError("flight phase ended short of the target")
                 abs_pos = flight_target.copy()
-                current_cells = target_cells
-                flight_target = None
 
         # Eq-style placement constraints: inside the area, outside tall
         # footprints. Violations are tallied, not fatal.

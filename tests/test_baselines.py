@@ -205,9 +205,7 @@ class TestEaStep:
         gcm, fs, gu, inst = random_instance(seed, n_abs=2, n_cells=n_cells,
                                             n_grids=5, n_gus=6, shared_pools=True)
         start_cells = [int(fs.per_abs[0][0]), int(fs.per_abs[1][1])]
-        start = make_placement(
-            gcm.spec, start_cells, evaluate_placement(gcm, start_cells, gu)
-        )
+        start = make_placement(start_cells, evaluate_placement(gcm, start_cells, gu))
         return fs, inst, start
 
     def test_mutation_radius_validated(self):
@@ -238,7 +236,7 @@ class TestEaStep:
         fs = FeasibleSets(per_abs=(pool, pool), union=pool, radius=float("inf"))
         gu = gu_cell_centers(spec)[[0, 3], :2]
         inst = assemble(gcm, fs, gu, n_abs=2)
-        start = make_placement(spec, [1, 2], evaluate_placement(gcm, [1, 2], gu))
+        start = make_placement([1, 2], evaluate_placement(gcm, [1, 2], gu))
         out = ea_step(start, inst, fs, EaConfig(rounds=25, mutation_radius=1e6, seed=1))
         assert out.abs_cells == (1, 2)  # nothing strictly better exists
 

@@ -251,12 +251,11 @@ class TestCoverageRate:
 
 
 class TestPlacement:
-    def test_distinctness_enforced(self, spec20):
+    def test_distinctness_enforced(self):
         with pytest.raises(ValueError):
-            make_placement(spec20, [3, 3], 0)
+            make_placement([3, 3], 0)
 
-    def test_positions_are_cell_centers(self, spec20):
-        p = make_placement(spec20, [1, 400], 7)
-        assert np.allclose(p.positions[0], [12.5, 12.5, 90.0])
-        assert np.allclose(p.positions[1], [487.5, 487.5, 90.0])
-        assert p.coverage_value == 7
+    def test_cells_and_value_are_plain_ints(self):
+        p = make_placement(np.array([1, 400]), np.int64(7))
+        assert p.abs_cells == (1, 400) and p.coverage_value == 7
+        assert all(type(c) is int for c in (*p.abs_cells, p.coverage_value))

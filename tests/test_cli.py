@@ -111,6 +111,14 @@ class TestValidateConfig:
         {"experiment": {"solvers": 5}},
         {"experiment": {"seeds": [-1]}},
         {"options": {"plan_before_start": "x"}},
+        {"solver": {"name": None}},
+        # Layouts that cannot be drawn, and lists that name a trial twice.
+        {"environment": {"num_blocks": 2000}},
+        {"environment": {"block_width": 250.0}},
+        {"experiment": {"sweep": {"axis": "num_blocks", "values": [0, 2000]}}},
+        {"experiment": {"seeds": [0, 0]}},
+        {"experiment": {"solvers": ["online", "online"]}},
+        {"experiment": {"sweep": {"axis": "n_abs", "values": [2, 2]}}},
     ], ids=repr)
     def test_malformed_value_exits_2(self, tmp_path, capsys, over):
         cfg = write_cfg(tmp_path / "s.yaml", **over)

@@ -2,9 +2,10 @@
 and a malformed value never crashes `validate-config`.
 
 Random tiny scenarios (grids up to 5x5, up to 3 ABSs and 5 GUs, one or two
-periods, any mix of the three solvers, either objective weighting). Whenever
-`validate-config` exits 0, `run` must exit with a code from the documented
-table other than 1, write `summary.csv`, and record no code-1 failure. With
+periods, any mix of the three solvers, either objective weighting, building
+layouts that may not fit the area). Whenever `validate-config` exits 0, `run`
+must exit with a code from the documented table other than 1, write
+`summary.csv`, and record no code-1 failure and no ConfigError. With
 one leaf of such a scenario (defaults filled in) replaced by null, a list, a
 string or a non-integral float, `validate-config` exits 0 or 2, never 1.
 """
@@ -35,11 +36,13 @@ def tiny_configs(draw) -> dict:
     return {
         "area": {"d1": side, "d2": side},
         "grid": {k: draw(st.integers(1, 5)) for k in ("k1", "k2", "k1p", "k2p")},
+        # Some layouts cannot be drawn: too many blocks, blocks wider than
+        # the area, or an inverted height range.
         "environment": {
-            "num_blocks": draw(st.integers(0, 6)),
-            "block_width": draw(st.sampled_from([10.0, 25.0, 40.0])),
+            "num_blocks": draw(st.sampled_from([0, 1, 3, 6, 40])),
+            "block_width": draw(st.sampled_from([10.0, 25.0, 40.0, 250.0])),
             "height_low": low,
-            "height_high": low + draw(st.sampled_from([0.0, 20.0, 60.0])),
+            "height_high": low + draw(st.sampled_from([-10.0, 0.0, 20.0, 60.0])),
         },
         "timing": {
             "total_time": period * draw(st.integers(1, 2)),
@@ -73,7 +76,7 @@ def tiny_configs(draw) -> dict:
     }
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(tiny_configs())
 def test_validated_config_runs_without_unexpected_error(raw):
     with tempfile.TemporaryDirectory() as tmp:
@@ -86,8 +89,10 @@ def test_validated_config_runs_without_unexpected_error(raw):
         assert (out / "summary.csv").exists()
         failures = out / "failures.csv"
         if failures.exists():
-            codes = [line.split(",")[4] for line in failures.read_text().splitlines()[1:]]
-            assert "1" not in codes
+            rows = [line.split(",") for line in failures.read_text().splitlines()[1:]]
+            assert "1" not in [row[4] for row in rows]
+            # Every config problem is caught by validate-config.
+            assert "ConfigError" not in [row[3] for row in rows]
 
 
 def _leaf_paths(tree, path=()):

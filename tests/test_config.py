@@ -1,8 +1,11 @@
 """Config schema tests: defaults, merging, sweeps, cache keys."""
 
 import copy
+import re
+from pathlib import Path
 
 import pytest
+import yaml
 
 from absmove import ConfigError
 from absmove.config import (
@@ -15,6 +18,8 @@ from absmove.config import (
     parse_experiment,
     parse_trial_config,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestMerge:
@@ -111,6 +116,24 @@ class TestParseTrialConfig:
         assert cfg.solver.name == "kmeans-ea"
         assert cfg.solver.duplication == 7
 
+    def test_types_follow_the_dataclass_fields(self):
+        cfg = parse_trial_config(merge_config({
+            "timing": {"total_time": "400"}, "environment": {"num_blocks": 10.0},
+            "solver": {"ea_mutation_radius": 25}, "options": {"plan_before_start": True},
+        }))
+        assert cfg.total_time == 400.0 and type(cfg.total_time) is float
+        assert cfg.env.num_blocks == 10 and type(cfg.env.num_blocks) is int
+        assert cfg.solver.ea_mutation_radius == 25.0
+        assert type(cfg.solver.ea_mutation_radius) is float
+        assert parse_trial_config(merge_config({})).solver.ea_mutation_radius is None
+        with pytest.raises(ConfigError, match="solver.duplication"):
+            parse_trial_config(merge_config({"solver": {"duplication": None}}))
+
+    def test_overridden_solver_name_is_still_checked(self):
+        cfg = merge_config({"solver": {"name": None}})
+        with pytest.raises(ConfigError, match="solver.name"):
+            parse_trial_config(cfg, solver_name="online")
+
     def test_invalid_values_surface_as_config_errors(self):
         with pytest.raises(ConfigError):
             parse_trial_config(merge_config({"grid": {"k1": 0}}))
@@ -118,6 +141,10 @@ class TestParseTrialConfig:
             parse_trial_config(merge_config({"channel": {"outage_threshold": 0.0}}))
         with pytest.raises(ConfigError):
             parse_trial_config(merge_config({"timing": {"flight_time": 7.0}}))
+        with pytest.raises(ConfigError, match="footprint"):
+            parse_trial_config(merge_config({"environment": {"num_blocks": 2000}}))
+        with pytest.raises(ConfigError, match="block_width"):
+            parse_trial_config(merge_config({"environment": {"block_width": 1500.0}}))
 
 
 class TestExperiment:
@@ -150,6 +177,18 @@ class TestExperiment:
         with pytest.raises(ConfigError, match="solvers"):
             parse_experiment(merge_config({"experiment": {"solvers": []}}))
 
+    @pytest.mark.parametrize("experiment, match", [
+        ({"seeds": [0, 1, 0]}, "experiment.seeds lists 0"),
+        ({"seeds": [3, 3.0]}, "experiment.seeds lists 3"),
+        ({"solvers": ["online", "oracle", "online"]}, "experiment.solvers lists 'online'"),
+        ({"sweep": {"axis": "n_abs", "values": [2, 3, 2]}}, "sweep.values lists 2 "),
+        ({"sweep": {"axis": "n_abs", "values": [2, 2.0]}}, "sweep.values lists 2.0 "),
+        ({"sweep": {"axis": "grid_length", "values": [25, "25.0"]}}, "lists '25.0' "),
+    ])
+    def test_duplicate_entries(self, experiment, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_experiment(merge_config({"experiment": experiment}))
+
     def test_bad_sweep_axis(self):
         raw = {"experiment": {"sweep": {"axis": "altitude", "values": [50]}}}
         with pytest.raises(ConfigError, match="axis"):
@@ -163,6 +202,9 @@ class TestExperiment:
     def test_sweep_values_validated_up_front(self):
         raw = {"experiment": {"sweep": {"axis": "grid_length", "values": [25.0, 7.0]}}}
         with pytest.raises(ConfigError, match="divide"):
+            parse_experiment(merge_config(raw))
+        raw = {"experiment": {"sweep": {"axis": "num_blocks", "values": [10, 2000]}}}
+        with pytest.raises(ConfigError, match="footprint"):
             parse_experiment(merge_config(raw))
 
 
@@ -200,6 +242,13 @@ class TestGcmCacheKey:
         cfg = merge_config({})
         assert gcm_cache_key(cfg, 1) == gcm_cache_key(merge_config({}), 1)
 
+    def test_default_key_is_pinned(self):
+        # A default of a map section that changes value or type would orphan
+        # every cached map.
+        assert gcm_cache_key(merge_config({}), 0) == (
+            "8ed5f2a95c79ee3f156362d43d3c244d0a915daecfe997147bdb96663c20077a"
+        )
+
     def test_sensitive_to_map_inputs(self):
         cfg = merge_config({})
         base = gcm_cache_key(cfg, 1)
@@ -215,3 +264,11 @@ class TestGcmCacheKey:
         assert gcm_cache_key(merge_config({"fleet": {"n_gus": 99}}), 1) == base
         assert gcm_cache_key(merge_config({"timing": {"total_time": 400.0}}), 1) == base
         assert gcm_cache_key(merge_config({"solver": {"duplication": 9}}), 1) == base
+
+
+def test_readme_scenario_block_lists_the_defaults():
+    text = README.read_text()
+    section = text[text.index("### Scenario files"):]
+    block = re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
+    expected = {k: v for k, v in DEFAULTS.items() if k != "version"}
+    assert yaml.safe_load(block) == expected
