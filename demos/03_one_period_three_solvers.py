@@ -16,7 +16,7 @@ from absmove import (
     feasible_sets,
     generate_environment,
 )
-from absmove.baselines import EaConfig, ea_step, exact_optimum, kmeans_init
+from absmove.baselines import ea_step, exact_optimum, kmeans_init
 from absmove.online_solver import solve
 
 N_ABS = 2
@@ -32,14 +32,14 @@ def main() -> None:
 
     gu_positions = rng.uniform(0.0, 500.0, size=(N_GUS, 2))
     anchors = rng.uniform(100.0, 400.0, size=(N_ABS, 2))
-    fs = feasible_sets(anchors, spec, None, radius=300.0, valid=gcm.abs_cell_valid)
+    pools = feasible_sets(anchors, spec, gcm.abs_cell_valid, radius=300.0)
     print(f"{N_ABS} vehicles, {N_GUS} users, pools of "
-          f"{[len(p) for p in fs.per_abs]} reachable cells\n")
+          f"{[len(p) for p in pools]} reachable cells\n")
 
-    instance = assemble(gcm, fs, gu_positions, N_ABS)
+    instance = assemble(gcm, pools, gu_positions)
 
     t0 = time.perf_counter()
-    report = solve(instance, fs, duplication=10, seed=0)
+    report = solve(instance, duplication=10, seed=0)
     t_online = time.perf_counter() - t0
     print(f"online (10 restarts): covers {report.coverage_value}/{N_GUS} "
           f"in {t_online * 1e3:6.1f} ms  cells {report.placement.abs_cells}")
@@ -47,21 +47,20 @@ def main() -> None:
           f"a-priori gap bound {report.gap_bound:.0f}")
 
     t0 = time.perf_counter()
-    best = exact_optimum(instance, fs)
+    best = exact_optimum(instance)
     t_pruned = time.perf_counter() - t0
     print(f"oracle (pruned):      covers {best.coverage_value}/{N_GUS} "
           f"in {t_pruned * 1e3:6.1f} ms  cells {best.abs_cells}")
 
     t0 = time.perf_counter()
-    plain = exact_optimum(instance, fs, branch_and_bound=False)
+    plain = exact_optimum(instance, branch_and_bound=False)
     t_plain = time.perf_counter() - t0
     print(f"oracle (plain scan):  covers {plain.coverage_value}/{N_GUS} "
           f"in {t_plain * 1e3:6.1f} ms  cells {plain.abs_cells}")
 
     t0 = time.perf_counter()
     seeded = kmeans_init(instance, gu_positions, seed=1)
-    polished = ea_step(seeded, instance, fs,
-                       EaConfig(rounds=3000, mutation_radius=25.0, seed=1))
+    polished = ea_step(seeded, instance, rounds=3000, mutation_radius=25.0, seed=1)
     t_ea = time.perf_counter() - t0
     print(f"k-means + mutation:   covers {polished.coverage_value}/{N_GUS} "
           f"in {t_ea * 1e3:6.1f} ms  cells {polished.abs_cells}")

@@ -6,13 +6,11 @@ randomized solver, benchmarked against an exact oracle and an evolutionary
 baseline inside a deterministic trial simulator.
 """
 
-from .baselines import EaConfig, ea_step, exact_optimum, kmeans_centroids, kmeans_init
+from .baselines import ea_step, exact_optimum, kmeans_centroids, kmeans_init
 from .bilp import (
     BilpInstance,
-    FeasibleSets,
     Placement,
     assemble,
-    coverage_rate,
     covered_weight,
     evaluate_placement,
     feasible_sets,
@@ -46,11 +44,8 @@ from .env import (
     Environment,
     generate_environment,
     is_los,
-    is_obstructed_cell,
-    load_environment,
     los_blocked_mask,
     obstructed_mask,
-    save_environment,
 )
 from .errors import (
     AbsmoveError,

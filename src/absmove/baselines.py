@@ -10,35 +10,15 @@ return the same Placement type.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bilp import BilpInstance, FeasibleSets, Placement, covered_weight, make_placement
+from .bilp import BilpInstance, Placement, covered_weight, make_placement
 from .errors import InfeasibleSetError, OracleCapError
-from .gcm import abs_cell_centers
-
-
-@dataclass(frozen=True)
-class EaConfig:
-    """Evolutionary search knobs: candidate count, move range, seed."""
-
-    rounds: int = 3000
-    mutation_radius: float = 300.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.rounds < 1:
-            raise ValueError("rounds must be at least 1")
-        if self.mutation_radius < 0.0:
-            raise ValueError("mutation_radius must be non-negative")
 
 
 def exact_optimum(
-    instance: BilpInstance,
-    fs: FeasibleSets,
-    cap: int = 5_000_000,
-    branch_and_bound: bool = True,
+    instance: BilpInstance, cap: int = 5_000_000, branch_and_bound: bool = True
 ) -> Placement:
     """Provably optimal placement by depth-first search over per-ABS pools.
 
@@ -146,10 +126,9 @@ def kmeans_init(instance: BilpInstance, gu_positions, seed: int = 0) -> Placemen
     centroid took; the start is scored on the instance's objective.
     """
     centroids = kmeans_centroids(gu_positions, instance.n_abs, seed)
-    centers = abs_cell_centers(instance.spec)[instance.u_ids - 1, :2]
     chosen: list[int] = []
     for i, (c, pool) in enumerate(zip(centroids, instance.per_abs_pos)):
-        d = np.hypot(centers[pool, 0] - c[0], centers[pool, 1] - c[1])
+        d = np.hypot(*(instance.u_xy[pool] - c).T)
         for t in np.argsort(d, kind="stable"):
             if int(pool[t]) not in chosen:
                 chosen.append(int(pool[t]))
@@ -163,8 +142,10 @@ def kmeans_init(instance: BilpInstance, gu_positions, seed: int = 0) -> Placemen
 def ea_step(
     current: Placement,
     instance: BilpInstance,
-    fs: FeasibleSets,
-    cfg: EaConfig,
+    *,
+    rounds: int,
+    mutation_radius: float,
+    seed: int,
 ) -> Placement:
     """One generation of mutate-and-select around a feasible placement.
 
@@ -176,23 +157,23 @@ def ea_step(
     coverage never decreases. Iterative refinement, where wanted, is chained
     through successive calls.
     """
-    if cfg.mutation_radius > fs.radius:
-        raise ValueError(
-            f"mutation radius {cfg.mutation_radius} exceeds movement radius {fs.radius}"
-        )
-    rng = np.random.default_rng(cfg.seed)
-    centers = abs_cell_centers(instance.spec)[instance.u_ids - 1, :2]
+    if rounds < 1:
+        raise ValueError("rounds must be at least 1")
+    if mutation_radius < 0.0:
+        raise ValueError("mutation_radius must be non-negative")
+    rng = np.random.default_rng(seed)
+    xy = instance.u_xy
     n = instance.n_abs
     # Candidates are positions in u_ids, so distinct positions are distinct cells.
     base = [int(p) for p in instance.positions_of_cells(current.abs_cells)]
     pools = []
     for p, pool in zip(base, instance.per_abs_pos):
-        d = np.hypot(centers[pool, 0] - centers[p, 0], centers[pool, 1] - centers[p, 1])
-        pools.append(pool[d <= cfg.mutation_radius])
+        d = np.hypot(*(xy[pool] - xy[p]).T)
+        pools.append(pool[d <= mutation_radius])
 
     best_pos = base
     best_val = current.coverage_value
-    for _ in range(cfg.rounds):
+    for _ in range(rounds):
         cand: list[int] = []
         for i in range(n):
             pos = base[i]

@@ -8,6 +8,10 @@ a_u, and one row per grid tying C_v to the selected cells that cover it.
 Binary bounds are left to the solvers. E is the reference encoding: the
 solvers work from the connectivity block z_sub, and E is built only when a
 caller asks for it (the dual objective and the test oracles).
+
+``feasible_sets`` gives each ABS its pool of reachable cells and ``assemble``
+turns the pools and a GU snapshot into a BilpInstance. Every solver takes
+that instance alone: the pools live on it as ``per_abs_pos``.
 """
 
 from __future__ import annotations
@@ -19,17 +23,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InfeasibleSetError
-from .gcm import Gcm, GridSpec, abs_cell_centers, gu_cells_of_positions, valid_abs_cells
-from .env import Environment
-
-
-@dataclass(frozen=True)
-class FeasibleSets:
-    """Reachable traversal cells per ABS for one planning round."""
-
-    per_abs: tuple[np.ndarray, ...]
-    union: np.ndarray
-    radius: float
+from .gcm import Gcm, GridSpec, abs_cell_centers, gu_cells_of_positions
 
 
 @dataclass(frozen=True)
@@ -51,27 +45,19 @@ def make_placement(cells, coverage_value: int) -> Placement:
 
 
 def feasible_sets(
-    current_xy,
-    spec: GridSpec,
-    env: Environment | None,
-    radius: float,
-    valid: np.ndarray | None = None,
-) -> FeasibleSets:
-    """Valid traversal cells within the flight radius of each ABS.
+    current_xy, spec: GridSpec, valid: np.ndarray, radius: float
+) -> tuple[np.ndarray, ...]:
+    """Per-ABS pools: the 1-based ids of the valid traversal cells within the
+    flight radius of each ABS.
 
-    ``current_xy`` is an (N, 2) array of horizontal positions. ``valid`` may
-    carry a precomputed validity mask (e.g. from a loaded connectivity map),
-    in which case ``env`` may be None.
+    ``current_xy`` is an (N, 2) array of horizontal positions and ``valid``
+    the traversal-cell validity mask of the connectivity map.
     """
     current_xy = np.atleast_2d(np.asarray(current_xy, dtype=float))
     if radius < 0.0:
         raise ValueError("radius must be non-negative")
-    if valid is None:
-        if env is None:
-            raise ValueError("need either an environment or a validity mask")
-        valid = valid_abs_cells(env, spec)
     centers = abs_cell_centers(spec)[:, :2]
-    per_abs = []
+    pools = []
     for n, pos in enumerate(current_xy):
         d = np.hypot(centers[:, 0] - pos[0], centers[:, 1] - pos[1])
         ids = np.flatnonzero(valid & (d <= radius)) + 1
@@ -80,9 +66,8 @@ def feasible_sets(
                 f"ABS {n} at ({pos[0]:.1f}, {pos[1]:.1f}) has no reachable valid cell "
                 f"within radius {radius:.1f} m"
             )
-        per_abs.append(ids.astype(np.int64))
-    union = np.unique(np.concatenate(per_abs))
-    return FeasibleSets(per_abs=tuple(per_abs), union=union, radius=float(radius))
+        pools.append(ids.astype(np.int64))
+    return tuple(pools)
 
 
 def covered_weight(z: np.ndarray, rows, weights, cols=None) -> int:
@@ -114,9 +99,10 @@ class BilpInstance:
 
     Column k < n_v is C for grid ``v_ids[k]`` (weight ``weights[k]``); column
     n_v + t is a for traversal cell ``u_ids[t]``. The solvers read ``z_sub``,
-    ``weights`` and ``per_abs_pos`` directly. The reference encoding ``e``,
-    ``r``, ``l`` and ``d`` (``l`` divided by the variable count, matching the
-    per-variable split of the dual objective) is built on first access only.
+    ``weights``, ``per_abs_pos`` and the cell centres ``u_xy`` directly. The
+    reference encoding ``e``, ``r``, ``l`` and ``d`` (``l`` divided by the
+    variable count, matching the per-variable split of the dual objective)
+    is built on first access only.
     """
 
     n_abs: int
@@ -126,6 +112,11 @@ class BilpInstance:
     z_sub: np.ndarray
     per_abs_pos: tuple[np.ndarray, ...]
     spec: GridSpec
+
+    @cached_property
+    def u_xy(self) -> np.ndarray:
+        """Horizontal centres of the traversal cells in ``u_ids``, (n_u, 2)."""
+        return abs_cell_centers(self.spec)[self.u_ids - 1, :2]
 
     @property
     def n_v(self) -> int:
@@ -197,30 +188,19 @@ class BilpInstance:
         return pos
 
 
-def assemble(
-    gcm: Gcm,
-    fs: FeasibleSets,
-    gu_positions,
-    n_abs: int,
-    weight_multiplicity: bool = True,
-) -> BilpInstance:
-    """Instance for the current GU snapshot and feasible sets.
+def assemble(gcm: Gcm, pools, gu_positions, weight_multiplicity: bool = True) -> BilpInstance:
+    """Instance for the current GU snapshot and the per-ABS pools.
 
-    Only occupied ground grids get C columns, weighted as ``occupied_grids``
-    says.
+    ``pools`` holds one array of 1-based traversal cell ids per ABS; their
+    union gives the a columns. Only occupied ground grids get C columns,
+    weighted as ``occupied_grids`` says.
     """
-    if n_abs < 1:
-        raise ValueError("n_abs must be at least 1")
-    if len(fs.per_abs) != n_abs:
-        raise ValueError(
-            f"feasible sets built for {len(fs.per_abs)} ABSs, instance needs {n_abs}"
-        )
     v_ids, weights = occupied_grids(gcm.spec, gu_positions, weight_multiplicity)
-    u_ids = fs.union.astype(np.int64)
+    u_ids = np.unique(np.concatenate(pools)).astype(np.int64)
     return BilpInstance(
-        n_abs=n_abs, u_ids=u_ids, v_ids=v_ids, weights=weights,
+        n_abs=len(pools), u_ids=u_ids, v_ids=v_ids, weights=weights,
         z_sub=gcm.z[np.ix_(u_ids - 1, v_ids - 1)],
-        per_abs_pos=tuple(np.searchsorted(u_ids, ids) for ids in fs.per_abs),
+        per_abs_pos=tuple(np.searchsorted(u_ids, ids) for ids in pools),
         spec=gcm.spec,
     )
 
@@ -231,12 +211,3 @@ def evaluate_placement(
     """Weighted count of GUs whose ground grid is covered by some cell."""
     v_ids, weights = occupied_grids(gcm.spec, gu_positions, weight_multiplicity)
     return covered_weight(gcm.z, np.asarray(cells, dtype=np.int64) - 1, weights, v_ids - 1)
-
-
-def coverage_rate(covered: float, total_gus: int) -> float:
-    """Fraction of GUs covered; the per-step metric."""
-    if total_gus <= 0:
-        raise ValueError("total_gus must be positive")
-    if not 0 <= covered <= total_gus:
-        raise ValueError(f"covered count {covered} outside [0, {total_gus}]")
-    return covered / total_gus

@@ -231,6 +231,8 @@ def parse_experiment(cfg: dict) -> ExperimentSpec:
     _once(solvers, "experiment.solvers")
     axis = cfg["experiment"]["sweep"]["axis"]
     values = tuple(_get(cfg, "experiment.sweep.values", list))
+    if axis is None and values:
+        raise ConfigError("sweep.values needs a sweep.axis")
     if axis is not None:
         if axis not in SWEEP_AXES:
             raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")

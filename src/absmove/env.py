@@ -8,17 +8,12 @@ still counts as line of sight.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .errors import EnvironmentTooDenseError, FileFormatError
-
-ENV_FORMAT = "absmove-environment"
-ENV_VERSION = 1
+from .errors import EnvironmentTooDenseError
 
 # Cap on elements per temporary array in the vectorized segment/box test.
 _LOS_CHUNK_ELEMS = 1 << 20
@@ -262,56 +257,3 @@ def obstructed_mask(env: Environment, xys, min_height: float | None = None) -> n
         & (y < bmax[None, :, 1])
     )
     return inside.any(axis=1)
-
-
-def is_obstructed_cell(env: Environment, xy, min_height: float | None = None) -> bool:
-    """Scalar wrapper around obstructed_mask for a single (x, y) point."""
-    return bool(obstructed_mask(env, np.asarray(xy, dtype=float)[None, :], min_height)[0])
-
-
-def environment_to_dict(env: Environment) -> dict:
-    return {
-        "format": ENV_FORMAT,
-        "version": ENV_VERSION,
-        "d1": env.d1,
-        "d2": env.d2,
-        "seed": env.seed,
-        "blocks": [
-            {
-                "center": [b.center_xy[0], b.center_xy[1]],
-                "half_width": b.half_width,
-                "height": b.height,
-            }
-            for b in env.blocks
-        ],
-    }
-
-
-def environment_from_dict(data: dict) -> Environment:
-    if data.get("format") != ENV_FORMAT:
-        raise FileFormatError(f"not an environment file (format={data.get('format')!r})")
-    if data.get("version") != ENV_VERSION:
-        raise FileFormatError(
-            f"unsupported environment version {data.get('version')!r}, "
-            f"expected {ENV_VERSION}"
-        )
-    blocks = tuple(
-        BuildingBlock((float(b["center"][0]), float(b["center"][1])),
-                      float(b["half_width"]), float(b["height"]))
-        for b in data["blocks"]
-    )
-    return Environment(
-        d1=float(data["d1"]), d2=float(data["d2"]), blocks=blocks, seed=int(data["seed"])
-    )
-
-
-def save_environment(env: Environment, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(environment_to_dict(env), indent=2))
-
-
-def load_environment(path: str | Path) -> Environment:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"invalid environment JSON in {path}: {exc}") from exc
-    return environment_from_dict(data)

@@ -185,12 +185,6 @@ class Gcm:
             and np.array_equal(self.abs_cell_valid, other.abs_cell_valid)
         )
 
-    def connectivity(self, u: int, v: int) -> bool:
-        """Bit lookup with 1-based cell indices."""
-        if not (1 <= u <= self.spec.n_abs_cells and 1 <= v <= self.spec.n_gu_cells):
-            raise ValueError(f"cell pair ({u}, {v}) out of range")
-        return bool(self.z[u - 1, v - 1])
-
 
 def valid_abs_cells(env: Environment, spec: GridSpec) -> np.ndarray:
     """Validity of each traversal cell: its center must clear every block

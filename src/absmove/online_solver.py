@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bilp import BilpInstance, FeasibleSets, Placement, covered_weight, make_placement
+from .bilp import BilpInstance, Placement, covered_weight, make_placement
 from .errors import InfeasibleSetError
 
 
@@ -217,7 +217,6 @@ def decode_and_repair(x: np.ndarray, instance: BilpInstance) -> Placement:
 
 def solve(
     instance: BilpInstance,
-    fs: FeasibleSets,
     duplication: int = 3,
     seed: int = 0,
     track_dual: bool = False,
@@ -226,8 +225,7 @@ def solve(
 
     Restart k draws from default_rng([seed, k]), so raising ``duplication``
     with the same seed reruns the exact same first restarts and can only
-    improve the returned coverage. The pools are read from ``instance``;
-    ``fs`` keeps the call shape ``exact_optimum`` shares.
+    improve the returned coverage.
     """
     if duplication < 1:
         raise ValueError("duplication must be at least 1")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 # kmeans_centroids stays importable here so tools can wrap each planning layer.
-from .baselines import EaConfig, ea_step, exact_optimum, kmeans_centroids, kmeans_init  # noqa: F401
+from .baselines import ea_step, exact_optimum, kmeans_centroids, kmeans_init  # noqa: F401
 from .bilp import assemble, evaluate_placement, feasible_sets
 from .channel import ChannelParams, coverage_mask
 from .env import Environment, check_layout, obstructed_mask
@@ -308,28 +308,27 @@ def plan_period(state: PlanState, gcm: Gcm, cfg: TrialConfig) -> PeriodRecord:
     """
     anchor_xy = np.stack([cell_center_abs(gcm.spec, c)[:2] for c in state.anchor_cells])
     t0 = time.perf_counter()
-    fs = feasible_sets(
-        anchor_xy, gcm.spec, None, cfg.movement_radius, valid=gcm.abs_cell_valid
-    )
-    instance = assemble(gcm, fs, state.gu_positions, cfg.n_abs, cfg.weight_multiplicity)
+    pools = feasible_sets(anchor_xy, gcm.spec, gcm.abs_cell_valid, cfg.movement_radius)
+    instance = assemble(gcm, pools, state.gu_positions, cfg.weight_multiplicity)
     sc = cfg.solver
     bound = None
     if sc.name == "kmeans-ea":
         start = kmeans_init(
             instance, state.gu_positions, _period_seed(cfg.solver_seed, state.period, 1)
         )
-        ea_cfg = EaConfig(
+        radius = cfg.movement_radius if sc.ea_mutation_radius is None else sc.ea_mutation_radius
+        placement = ea_step(
+            start,
+            instance,
             rounds=sc.ea_rounds,
-            mutation_radius=fs.radius if sc.ea_mutation_radius is None else sc.ea_mutation_radius,
+            mutation_radius=radius,
             seed=_period_seed(cfg.solver_seed, state.period, 2),
         )
-        placement = ea_step(start, instance, fs, ea_cfg)
     elif sc.name == "oracle":
-        placement = exact_optimum(instance, fs, sc.oracle_cap, sc.oracle_branch_and_bound)
+        placement = exact_optimum(instance, sc.oracle_cap, sc.oracle_branch_and_bound)
     else:
         report = solve(
             instance,
-            fs,
             duplication=sc.duplication,
             seed=_period_seed(cfg.solver_seed, state.period, 0),
         )

@@ -8,7 +8,6 @@ import pytest
 from absmove import (
     ChannelParams,
     Environment,
-    FeasibleSets,
     Gcm,
     GridSpec,
     assemble,
@@ -61,7 +60,7 @@ def random_instance(seed: int, n_abs: int = 2, n_cells: int = 8, n_grids: int = 
                     n_gus: int = 8, density: float = 0.45, shared_pools: bool = False):
     """A small random placement instance plus the pieces it was built from.
 
-    Returns (gcm, fs, gu_positions, instance). Pools always have at least
+    Returns (gcm, pools, gu_positions, instance). Pools always have at least
     n_abs + 1 cells so distinct assignments exist.
     """
     rng = np.random.default_rng(seed)
@@ -84,14 +83,11 @@ def random_instance(seed: int, n_abs: int = 2, n_cells: int = 8, n_grids: int = 
     gu_positions = centers[gu_grid - 1, :2]
 
     if shared_pools:
-        per_abs = tuple(np.sort(cells.astype(np.int64)) for _ in range(n_abs))
+        pools = tuple(np.sort(cells.astype(np.int64)) for _ in range(n_abs))
     else:
-        per_abs = []
+        pools = []
         for _ in range(n_abs):
             size = int(rng.integers(n_abs + 1, n_cells + 1))
-            per_abs.append(np.sort(rng.choice(cells, size=size, replace=False)).astype(np.int64))
-        per_abs = tuple(per_abs)
-    union = np.unique(np.concatenate(per_abs))
-    fs = FeasibleSets(per_abs=per_abs, union=union, radius=float("inf"))
-    instance = assemble(gcm, fs, gu_positions, n_abs)
-    return gcm, fs, gu_positions, instance
+            pools.append(np.sort(rng.choice(cells, size=size, replace=False)).astype(np.int64))
+        pools = tuple(pools)
+    return gcm, pools, gu_positions, assemble(gcm, pools, gu_positions)

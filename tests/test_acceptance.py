@@ -180,9 +180,9 @@ def test_dual_values_upper_bound_integer_optimum():
     """Scaled dual objective dominates the exhaustive binary optimum at
     every iterate of every restart, on 200 fuzzed instances."""
     for seed in range(200):
-        _, fs, _, inst = _fuzzed_instance(seed)
+        _, _, _, inst = _fuzzed_instance(seed)
         opt, _ = oracles.binary_optimum(inst)
-        report = solve(inst, fs, duplication=2, seed=seed, track_dual=True)
+        report = solve(inst, duplication=2, seed=seed, track_dual=True)
         assert report.dual_trace is not None
         for trace in report.dual_trace:
             low = inst.n_cols * min(trace)
@@ -216,11 +216,11 @@ def test_gap_bound_holds_and_scales_with_restarts():
     gaps = {k: [] for k in restarts}
     bounds = {k: [] for k in restarts}
     for seed in range(100):
-        _, fs, _, inst = _fuzzed_instance(seed + 3000)
-        opt = exact_optimum(inst, fs).coverage_value
+        _, _, _, inst = _fuzzed_instance(seed + 3000)
+        opt = exact_optimum(inst).coverage_value
         base = gap_bound(inst, 1)
         for k in restarts:
-            report = solve(inst, fs, duplication=k, seed=seed)
+            report = solve(inst, duplication=k, seed=seed)
             gaps[k].append(opt - report.coverage_value)
             bounds[k].append(report.gap_bound)
             # Restart counts are powers of four, so the square roots and
@@ -244,10 +244,9 @@ def _check_trial_feasibility(tc, log, gcm) -> None:
         targets = list(rec.target_cells)
         assert len(set(targets)) == tc.n_abs, "duplicate target cells"
         anchors = pos[max(rec.trigger_step, 0)]
-        fs = feasible_sets(anchors, tc.spec, None, tc.movement_radius,
-                           valid=gcm.abs_cell_valid)
+        pools = feasible_sets(anchors, tc.spec, gcm.abs_cell_valid, tc.movement_radius)
         for i, cell in enumerate(targets):
-            assert cell in fs.per_abs[i], (
+            assert cell in pools[i], (
                 f"period {rec.period}: cell {cell} outside pool of ABS {i}"
             )
 

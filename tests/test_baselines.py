@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from absmove import (
-    EaConfig,
-    FeasibleSets,
     GridSpec,
     InfeasibleSetError,
     OracleCapError,
@@ -28,8 +26,8 @@ from conftest import random_instance, synth_gcm
 class TestExactOptimum:
     def test_single_abs_is_argmax(self):
         for seed in range(5):
-            _, fs, _, inst = random_instance(seed, n_abs=1)
-            best = exact_optimum(inst, fs)
+            _, _, _, inst = random_instance(seed, n_abs=1)
+            best = exact_optimum(inst)
             per_cell = [
                 covered_weight(inst.z_sub, [t], inst.weights) for t in inst.per_abs_pos[0]
             ]
@@ -39,10 +37,9 @@ class TestExactOptimum:
         spec = GridSpec(d1=100.0, d2=100.0, k1=3, k2=3, k1p=3, k2p=3, abs_alt=90.0)
         gcm = synth_gcm(spec, np.ones((9, 9), dtype=bool))
         pool = np.arange(1, 10, dtype=np.int64)
-        fs = FeasibleSets(per_abs=(pool, pool), union=pool, radius=float("inf"))
         gu = gu_cell_centers(spec)[[0, 0, 4, 8], :2]
-        inst = assemble(gcm, fs, gu, n_abs=2)
-        best = exact_optimum(inst, fs)
+        inst = assemble(gcm, (pool, pool), gu)
+        best = exact_optimum(inst)
         assert best.coverage_value == 4
         assert len(set(best.abs_cells)) == 2
 
@@ -54,18 +51,17 @@ class TestExactOptimum:
         for u in pool:
             z[u - 1] = rng.random(9) < 0.35
         gcm = synth_gcm(spec, z)
-        fs = FeasibleSets(per_abs=(pool, pool), union=pool, radius=float("inf"))
         grids = rng.integers(1, 10, size=10)
         gu = gu_cell_centers(spec)[grids - 1, :2]
-        inst = assemble(gcm, fs, gu, n_abs=2)
-        best = exact_optimum(inst, fs)
+        inst = assemble(gcm, (pool, pool), gu)
+        best = exact_optimum(inst)
         expect = oracles.enumerate_pairs(inst.z_sub, inst.weights, np.arange(inst.n_u))
         assert best.coverage_value == expect
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_product_enumeration(self, seed):
-        _, fs, _, inst = random_instance(seed, n_abs=2, n_cells=7, n_grids=5, n_gus=6)
-        best = exact_optimum(inst, fs)
+        _, _, _, inst = random_instance(seed, n_abs=2, n_cells=7, n_grids=5, n_gus=6)
+        best = exact_optimum(inst)
         expect = oracles.enumerate_optimum(
             inst.z_sub, inst.weights, [np.asarray(p) for p in inst.per_abs_pos]
         )
@@ -73,41 +69,40 @@ class TestExactOptimum:
 
     def test_branch_and_bound_agrees_with_plain_search(self):
         for seed in range(5):
-            _, fs, _, inst = random_instance(seed + 30, n_abs=2, n_cells=6)
-            with_bnb = exact_optimum(inst, fs, branch_and_bound=True)
-            plain = exact_optimum(inst, fs, branch_and_bound=False)
+            _, _, _, inst = random_instance(seed + 30, n_abs=2, n_cells=6)
+            with_bnb = exact_optimum(inst, branch_and_bound=True)
+            plain = exact_optimum(inst, branch_and_bound=False)
             assert with_bnb.coverage_value == plain.coverage_value
 
     def test_cap_rejects_oversized_plain_search(self):
-        _, fs, _, inst = random_instance(2, n_abs=2, n_cells=8, shared_pools=True)
+        _, _, _, inst = random_instance(2, n_abs=2, n_cells=8, shared_pools=True)
         with pytest.raises(OracleCapError):
-            exact_optimum(inst, fs, cap=10, branch_and_bound=False)
+            exact_optimum(inst, cap=10, branch_and_bound=False)
         # Branch and bound ignores the cap.
-        exact_optimum(inst, fs, cap=10, branch_and_bound=True)
+        exact_optimum(inst, cap=10, branch_and_bound=True)
 
     def test_impossible_distinctness(self):
         spec = GridSpec(d1=100.0, d2=100.0, k1=2, k2=2, k1p=2, k2p=2, abs_alt=90.0)
         gcm = synth_gcm(spec, np.zeros((4, 4), dtype=bool))
         only = np.array([2], dtype=np.int64)
-        fs = FeasibleSets(per_abs=(only, only), union=only, radius=1.0)
         gu = gu_cell_centers(spec)[:1, :2]
-        inst = assemble(gcm, fs, gu, n_abs=2)
+        inst = assemble(gcm, (only, only), gu)
         with pytest.raises(InfeasibleSetError):
-            exact_optimum(inst, fs)
+            exact_optimum(inst)
 
     def test_cells_respect_pool_membership(self):
         for seed in range(5):
-            _, fs, _, inst = random_instance(seed + 50, n_abs=3, n_cells=9)
-            best = exact_optimum(inst, fs)
+            _, pools, _, inst = random_instance(seed + 50, n_abs=3, n_cells=9)
+            best = exact_optimum(inst)
             for i, c in enumerate(best.abs_cells):
-                assert c in fs.per_abs[i]
+                assert c in pools[i]
 
     def test_invariant_under_gu_permutation(self):
-        gcm, fs, gu, inst = random_instance(4, n_gus=9)
+        gcm, pools, gu, inst = random_instance(4, n_gus=9)
         rng = np.random.default_rng(0)
         shuffled = gu[rng.permutation(len(gu))]
-        a = exact_optimum(assemble(gcm, fs, gu, 2), fs)
-        b = exact_optimum(assemble(gcm, fs, shuffled, 2), fs)
+        a = exact_optimum(assemble(gcm, pools, gu))
+        b = exact_optimum(assemble(gcm, pools, shuffled))
         assert a.coverage_value == b.coverage_value
 
 
@@ -144,18 +139,10 @@ class TestKmeans:
             kmeans_centroids(pts, 4)
 
 
-def pool_instance(gcm, gu, pools, weight_multiplicity=True):
-    """Instance whose ABS i may take any cell of ``pools[i]`` (1-based ids)."""
-    pools = tuple(np.asarray(p, dtype=np.int64) for p in pools)
-    fs = FeasibleSets(per_abs=pools, union=np.unique(np.concatenate(pools)),
-                      radius=float("inf"))
-    return assemble(gcm, fs, gu, len(pools), weight_multiplicity)
-
-
 def all_cells_instance(gcm, gu, n_abs, weight_multiplicity=True):
     """Instance in which every ABS may take any valid cell."""
     ids = np.flatnonzero(gcm.abs_cell_valid) + 1
-    return pool_instance(gcm, gu, [ids] * n_abs, weight_multiplicity)
+    return assemble(gcm, [ids] * n_abs, gu, weight_multiplicity)
 
 
 class TestKmeansInit:
@@ -188,7 +175,7 @@ class TestKmeansInit:
         gu = np.array([[100.0, 100.0]] * 3 + [[400.0, 400.0]] * 3)
         free = kmeans_init(all_cells_instance(empty_gcm, gu, 2), gu, seed=0)
         pools = [np.array([1, 2], dtype=np.int64), np.array([2, 400], dtype=np.int64)]
-        p = kmeans_init(pool_instance(empty_gcm, gu, pools), gu, seed=0)
+        p = kmeans_init(assemble(empty_gcm, pools, gu), gu, seed=0)
         assert all(c in pool for c, pool in zip(p.abs_cells, pools))
         assert p.abs_cells != free.abs_cells
         assert p.coverage_value == evaluate_placement(empty_gcm, p.abs_cells, gu)
@@ -197,58 +184,56 @@ class TestKmeansInit:
         gu = np.array([[100.0, 100.0], [110.0, 100.0], [400.0, 400.0]])
         pools = [np.array([5], dtype=np.int64)] * 2
         with pytest.raises(InfeasibleSetError, match="ABS 1"):
-            kmeans_init(pool_instance(empty_gcm, gu, pools), gu, seed=0)
+            kmeans_init(assemble(empty_gcm, pools, gu), gu, seed=0)
 
 
 class TestEaStep:
     def make_setup(self, seed, n_cells=6):
-        gcm, fs, gu, inst = random_instance(seed, n_abs=2, n_cells=n_cells,
-                                            n_grids=5, n_gus=6, shared_pools=True)
-        start_cells = [int(fs.per_abs[0][0]), int(fs.per_abs[1][1])]
+        gcm, pools, gu, inst = random_instance(seed, n_abs=2, n_cells=n_cells,
+                                               n_grids=5, n_gus=6, shared_pools=True)
+        start_cells = [int(pools[0][0]), int(pools[1][1])]
         start = make_placement(start_cells, evaluate_placement(gcm, start_cells, gu))
-        return fs, inst, start
-
-    def test_mutation_radius_validated(self):
-        fs, inst, start = self.make_setup(0)
-        bounded = FeasibleSets(per_abs=fs.per_abs, union=fs.union, radius=50.0)
-        with pytest.raises(ValueError):
-            ea_step(start, inst, bounded, EaConfig(mutation_radius=60.0))
+        return inst, start
 
     @pytest.mark.parametrize("seed", range(6))
     def test_never_degrades(self, seed):
-        fs, inst, start = self.make_setup(seed)
-        out = ea_step(start, inst, fs, EaConfig(rounds=40, mutation_radius=1e6, seed=seed))
+        inst, start = self.make_setup(seed)
+        out = ea_step(start, inst, rounds=40, mutation_radius=1e6, seed=seed)
         assert out.coverage_value >= start.coverage_value
         assert len(set(out.abs_cells)) == 2
 
     def test_reaches_small_instance_optimum(self):
-        fs, inst, start = self.make_setup(2)
+        inst, start = self.make_setup(2)
         opt = oracles.enumerate_optimum(
             inst.z_sub, inst.weights, [np.arange(inst.n_u)] * 2
         )
-        out = ea_step(start, inst, fs, EaConfig(rounds=3000, mutation_radius=1e6, seed=0))
+        out = ea_step(start, inst, rounds=3000, mutation_radius=1e6, seed=0)
         assert out.coverage_value == opt
 
     def test_incumbent_survives_zero_gain_landscape(self):
         spec = GridSpec(d1=100.0, d2=100.0, k1=3, k2=3, k1p=3, k2p=3, abs_alt=90.0)
         gcm = synth_gcm(spec, np.ones((9, 9), dtype=bool))
         pool = np.arange(1, 10, dtype=np.int64)
-        fs = FeasibleSets(per_abs=(pool, pool), union=pool, radius=float("inf"))
         gu = gu_cell_centers(spec)[[0, 3], :2]
-        inst = assemble(gcm, fs, gu, n_abs=2)
+        inst = assemble(gcm, (pool, pool), gu)
         start = make_placement([1, 2], evaluate_placement(gcm, [1, 2], gu))
-        out = ea_step(start, inst, fs, EaConfig(rounds=25, mutation_radius=1e6, seed=1))
+        out = ea_step(start, inst, rounds=25, mutation_radius=1e6, seed=1)
         assert out.abs_cells == (1, 2)  # nothing strictly better exists
 
     def test_deterministic(self):
-        fs, inst, start = self.make_setup(3)
-        cfg = EaConfig(rounds=60, mutation_radius=1e6, seed=11)
-        a = ea_step(start, inst, fs, cfg)
-        b = ea_step(start, inst, fs, cfg)
+        inst, start = self.make_setup(3)
+        knobs = dict(rounds=60, mutation_radius=1e6, seed=11)
+        a = ea_step(start, inst, **knobs)
+        b = ea_step(start, inst, **knobs)
         assert a.abs_cells == b.abs_cells and a.coverage_value == b.coverage_value
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            EaConfig(rounds=0)
-        with pytest.raises(ValueError):
-            EaConfig(mutation_radius=-1.0)
+        inst, start = self.make_setup(0)
+        with pytest.raises(ValueError, match="rounds"):
+            ea_step(start, inst, rounds=0, mutation_radius=1e6, seed=0)
+
+    def test_mutation_radius_validated(self):
+        # The bound by the movement radius is a TrialConfig check.
+        inst, start = self.make_setup(0)
+        with pytest.raises(ValueError, match="mutation_radius"):
+            ea_step(start, inst, rounds=1, mutation_radius=-1.0, seed=0)

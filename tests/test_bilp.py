@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from absmove import (
-    FeasibleSets,
     GridSpec,
     InfeasibleSetError,
     abs_cell_centers,
     assemble,
-    coverage_rate,
     covered_weight,
     evaluate_placement,
     feasible_sets,
@@ -22,37 +20,35 @@ from conftest import random_instance, synth_gcm
 
 
 class TestFeasibleSets:
-    def test_brute_force_center_scan(self, empty_env, spec20):
-        fs = feasible_sets([(250.0, 250.0)], spec20, empty_env, radius=50.0)
+    def test_brute_force_center_scan(self, empty_gcm, spec20):
+        pools = feasible_sets([(250.0, 250.0)], spec20, empty_gcm.abs_cell_valid, radius=50.0)
         centers = abs_cell_centers(spec20)
         d = np.hypot(centers[:, 0] - 250.0, centers[:, 1] - 250.0)
         expect = np.flatnonzero(d <= 50.0) + 1
-        assert np.array_equal(fs.per_abs[0], expect)
-        assert np.array_equal(fs.union, expect)
+        assert len(pools) == 1
+        assert np.array_equal(pools[0], expect)
 
-    def test_zero_radius_pins_current_cell(self, empty_env, spec20):
-        fs = feasible_sets([(237.5, 237.5)], spec20, empty_env, radius=0.0)
-        assert fs.per_abs[0].tolist() == [flatten(spec20, 237.5, 237.5)]
+    def test_zero_radius_pins_current_cell(self, empty_gcm, spec20):
+        pools = feasible_sets([(237.5, 237.5)], spec20, empty_gcm.abs_cell_valid, radius=0.0)
+        assert pools[0].tolist() == [flatten(spec20, 237.5, 237.5)]
 
-    def test_union_merges_overlapping_disks(self, empty_env, spec20):
-        fs = feasible_sets([(100.0, 100.0), (130.0, 100.0)], spec20, empty_env, radius=60.0)
-        manual = np.unique(np.concatenate(fs.per_abs))
-        assert np.array_equal(fs.union, manual)
-        assert len(fs.per_abs) == 2
+    def test_union_merges_overlapping_disks(self, empty_gcm, spec20):
+        pools = feasible_sets([(100.0, 100.0), (130.0, 100.0)], spec20,
+                              empty_gcm.abs_cell_valid, radius=60.0)
+        assert len(pools) == 2
+        inst = assemble(empty_gcm, pools, [(10.0, 10.0)])
+        assert inst.n_abs == 2
+        assert np.array_equal(inst.u_ids, np.unique(np.concatenate(pools)))
 
     def test_trapped_abs_raises(self, spec20):
         valid = np.zeros(400, dtype=bool)
         valid[399] = True  # only the far corner cell is valid
         with pytest.raises(InfeasibleSetError, match="ABS 0"):
-            feasible_sets([(12.5, 12.5)], spec20, None, radius=30.0, valid=valid)
+            feasible_sets([(12.5, 12.5)], spec20, valid, radius=30.0)
 
-    def test_needs_env_or_mask(self, spec20):
+    def test_negative_radius_rejected(self, empty_gcm, spec20):
         with pytest.raises(ValueError):
-            feasible_sets([(10.0, 10.0)], spec20, None, radius=10.0)
-
-    def test_negative_radius_rejected(self, empty_env, spec20):
-        with pytest.raises(ValueError):
-            feasible_sets([(10.0, 10.0)], spec20, empty_env, radius=-1.0)
+            feasible_sets([(10.0, 10.0)], spec20, empty_gcm.abs_cell_valid, radius=-1.0)
 
 
 def flatten(spec, x, y):
@@ -68,12 +64,8 @@ def tiny_two_cell_instance():
     z[0, 0] = True  # cell 1 covers grid 1; cell 2 covers nothing
     gcm = synth_gcm(spec, z)
     gu = gu_cell_centers(spec)[0:1, :2]
-    fs = FeasibleSets(
-        per_abs=(np.array([1, 2], dtype=np.int64),),
-        union=np.array([1, 2], dtype=np.int64),
-        radius=float("inf"),
-    )
-    return gcm, fs, gu, assemble(gcm, fs, gu, n_abs=1)
+    pools = (np.array([1, 2], dtype=np.int64),)
+    return gcm, pools, gu, assemble(gcm, pools, gu)
 
 
 class TestAssembleExample:
@@ -98,7 +90,7 @@ class TestAssembleExample:
         assert np.array_equal(inst.d, inst.l / 3.0)
 
     def test_enumerated_optimum_is_one(self):
-        gcm, fs, gu, inst = tiny_two_cell_instance()
+        gcm, _, gu, inst = tiny_two_cell_instance()
         vals = {c: evaluate_placement(gcm, [c], gu) for c in (1, 2)}
         assert vals == {1: 1, 2: 0}
         best, _ = oracles.binary_optimum(inst)
@@ -108,23 +100,24 @@ class TestAssembleExample:
 class TestAssembleProperties:
     @pytest.mark.parametrize("seed", range(6))
     def test_dimension_formulas(self, seed):
-        _, fs, _, inst = random_instance(seed, n_abs=2)
+        _, pools, _, inst = random_instance(seed, n_abs=2)
         assert inst.n_rows == 1 + inst.n_abs + inst.n_u * inst.n_v + inst.n_v
         assert inst.e.shape == (inst.n_rows, inst.n_cols)
         assert len(inst.r) == inst.n_cols
         assert len(inst.l) == inst.n_rows
         assert np.array_equal(inst.d, inst.l / inst.n_cols)
-        assert np.array_equal(inst.u_ids, fs.union)
-        for pos, ids in zip(inst.per_abs_pos, fs.per_abs):
+        assert np.array_equal(inst.u_ids, np.unique(np.concatenate(pools)))
+        for pos, ids in zip(inst.per_abs_pos, pools):
             assert np.array_equal(inst.u_ids[pos], ids)
+        assert np.array_equal(inst.u_xy, abs_cell_centers(inst.spec)[inst.u_ids - 1, :2])
 
-    def test_multiplicity_weights(self, spec20, empty_gcm, empty_env):
+    def test_multiplicity_weights(self, spec20, empty_gcm):
         gus = np.array([[10.0, 10.0], [11.0, 11.0], [12.0, 10.5], [400.0, 400.0]])
-        fs = feasible_sets([(250.0, 250.0)], spec20, empty_env, radius=1000.0)
-        inst = assemble(empty_gcm, fs, gus, n_abs=1)
+        pools = feasible_sets([(250.0, 250.0)], spec20, empty_gcm.abs_cell_valid, radius=1000.0)
+        inst = assemble(empty_gcm, pools, gus)
         assert sorted(inst.weights.tolist()) == [1, 3]
         assert inst.r[: inst.n_v].sum() == 4.0
-        plain = assemble(empty_gcm, fs, gus, n_abs=1, weight_multiplicity=False)
+        plain = assemble(empty_gcm, pools, gus, weight_multiplicity=False)
         assert plain.weights.tolist() == [1, 1]
 
     def test_encoding_built_on_first_access_only(self):
@@ -160,13 +153,8 @@ class TestAssembleProperties:
         assert np.array_equal(inst.l[1:4], [-1.0, -1.0, -1.0])
         assert not inst.l[4:].any()
 
-    def test_pool_count_mismatch_rejected(self):
-        gcm, fs, gu, _ = tiny_two_cell_instance()
-        with pytest.raises(ValueError):
-            assemble(gcm, fs, gu, n_abs=2)
-
     def test_positions_of_cells(self):
-        _, fs, _, inst = random_instance(11)
+        _, _, _, inst = random_instance(11)
         cells = inst.u_ids[[0, len(inst.u_ids) - 1]]
         pos = inst.positions_of_cells(cells)
         assert np.array_equal(inst.u_ids[pos], cells)
@@ -178,7 +166,7 @@ class TestAssembleProperties:
 class TestEncodingSoundness:
     @pytest.mark.parametrize("seed", range(8))
     def test_objective_equals_coverage_on_feasible_points(self, seed):
-        gcm, fs, gu, inst = random_instance(
+        gcm, _, gu, inst = random_instance(
             seed, n_abs=2, n_cells=6, n_grids=4, n_gus=5, shared_pools=True
         )
         e = inst.e.toarray()
@@ -195,7 +183,7 @@ class TestEncodingSoundness:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_binary_optimum_matches_exhaustive_placements(self, seed):
-        _, fs, _, inst = random_instance(
+        _, _, _, inst = random_instance(
             seed + 100, n_abs=2, n_cells=6, n_grids=4, n_gus=5, shared_pools=True
         )
         best, _ = oracles.binary_optimum(inst)
@@ -205,7 +193,7 @@ class TestEncodingSoundness:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_lp_upper_bounds_ilp(self, seed):
-        _, fs, _, inst = random_instance(seed + 40, n_abs=2, n_cells=6, n_grids=4,
+        _, _, _, inst = random_instance(seed + 40, n_abs=2, n_cells=6, n_grids=4,
                                          n_gus=5, shared_pools=True)
         lp_val, _ = oracles.lp_optimum(inst)
         ilp_val, _ = oracles.binary_optimum(inst)
@@ -214,7 +202,7 @@ class TestEncodingSoundness:
 
 class TestEvaluate:
     def test_matches_instance_coverage(self):
-        gcm, fs, gu, inst = random_instance(9, n_abs=2)
+        gcm, _, gu, inst = random_instance(9, n_abs=2)
         cells = [int(inst.u_ids[0]), int(inst.u_ids[-1])]
         pos = inst.positions_of_cells(cells)
         assert covered_weight(inst.z_sub, pos, inst.weights) == evaluate_placement(gcm, cells, gu)
@@ -230,24 +218,11 @@ class TestEvaluate:
         assert covered_weight(z, [], w) == 0
 
     def test_multiplicity_toggle(self):
-        gcm, fs, gu, inst = random_instance(13, n_gus=9)
+        gcm, _, gu, inst = random_instance(13, n_gus=9)
         cells = [int(c) for c in inst.u_ids[:2]]
         with_m = evaluate_placement(gcm, cells, gu, weight_multiplicity=True)
         without = evaluate_placement(gcm, cells, gu, weight_multiplicity=False)
         assert with_m >= without
-
-
-class TestCoverageRate:
-    def test_example(self):
-        assert coverage_rate(17, 20) == pytest.approx(0.85)
-
-    def test_bounds(self):
-        assert coverage_rate(0, 5) == 0.0
-        assert coverage_rate(5, 5) == 1.0
-        with pytest.raises(ValueError):
-            coverage_rate(6, 5)
-        with pytest.raises(ValueError):
-            coverage_rate(1, 0)
 
 
 class TestPlacement:

@@ -119,6 +119,8 @@ class TestValidateConfig:
         {"experiment": {"seeds": [0, 0]}},
         {"experiment": {"solvers": ["online", "online"]}},
         {"experiment": {"sweep": {"axis": "n_abs", "values": [2, 2]}}},
+        # Sweep values without an axis would silently run the base scenario.
+        {"experiment": {"sweep": {"values": [1, 2]}}},
     ], ids=repr)
     def test_malformed_value_exits_2(self, tmp_path, capsys, over):
         cfg = write_cfg(tmp_path / "s.yaml", **over)

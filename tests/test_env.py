@@ -7,14 +7,10 @@ from absmove import (
     BuildingBlock,
     Environment,
     EnvironmentTooDenseError,
-    FileFormatError,
     generate_environment,
     is_los,
-    is_obstructed_cell,
-    load_environment,
     los_blocked_mask,
     obstructed_mask,
-    save_environment,
 )
 
 from oracles import sampled_blocked, sampled_blocked_robust
@@ -169,42 +165,23 @@ class TestLineOfSight:
 class TestObstruction:
     def test_inside_tall_footprint(self):
         env = one_block_env(height=95.0)
-        assert is_obstructed_cell(env, (50.0, 50.0), min_height=90.0)
+        assert obstructed_mask(env, (50.0, 50.0), min_height=90.0).tolist() == [True]
 
     def test_short_block_passes_height_filter(self):
         env = one_block_env(height=30.0)
-        assert not is_obstructed_cell(env, (50.0, 50.0), min_height=90.0)
-        assert is_obstructed_cell(env, (50.0, 50.0))  # ground-level check
+        assert obstructed_mask(env, (50.0, 50.0), min_height=90.0).tolist() == [False]
+        assert obstructed_mask(env, (50.0, 50.0)).tolist() == [True]  # ground-level check
 
     def test_outside_footprint(self):
         env = one_block_env(height=95.0)
-        assert not is_obstructed_cell(env, (10.0, 10.0), min_height=90.0)
+        assert obstructed_mask(env, (10.0, 10.0), min_height=90.0).tolist() == [False]
 
     def test_footprint_edge_is_open(self):
         env = one_block_env(height=95.0)
-        assert not is_obstructed_cell(env, (40.0, 50.0))
-        assert not is_obstructed_cell(env, (60.0, 60.0))
+        assert obstructed_mask(env, [(40.0, 50.0), (60.0, 60.0)]).tolist() == [False, False]
 
     def test_mask_vectorizes(self):
         env = one_block_env(height=95.0)
         pts = np.array([[50.0, 50.0], [10.0, 10.0], [41.0, 59.0]])
         assert obstructed_mask(env, pts).tolist() == [True, False, True]
 
-
-class TestSerialization:
-    def test_roundtrip(self, tmp_path, city_env):
-        path = tmp_path / "env.json"
-        save_environment(city_env, path)
-        assert load_environment(path) == city_env
-
-    def test_bad_format_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format": "something-else", "version": 1}')
-        with pytest.raises(FileFormatError):
-            load_environment(path)
-
-    def test_invalid_json_rejected(self, tmp_path):
-        path = tmp_path / "trunc.json"
-        path.write_text('{"format": "absmove-en')
-        with pytest.raises(FileFormatError):
-            load_environment(path)

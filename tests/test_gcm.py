@@ -162,7 +162,7 @@ class TestBuild:
     def test_directly_overhead_connected(self, empty_gcm, spec20):
         u = flatten_abs(spec20, 4, 7)
         v = flatten_gu(spec20, 4, 7)  # same center, aligned planes
-        assert empty_gcm.connectivity(u, v)
+        assert empty_gcm.z[u - 1, v - 1]
 
     def test_threshold_one_gives_all_ones(self, empty_env, spec20):
         params = ChannelParams(outage_threshold=1.0)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from absmove import (
-    FeasibleSets,
     GridSpec,
     InfeasibleSetError,
     assemble,
@@ -37,11 +36,10 @@ def dominant_cell_setup(n_gus=3):
     z[0, :] = True
     gcm = synth_gcm(spec, z)
     pool = np.array([1, 2, 3, 4], dtype=np.int64)
-    fs = FeasibleSets(per_abs=(pool, pool), union=pool, radius=float("inf"))
     centers = gu_cell_centers(spec)
     gu = centers[[0, 0, 1, 2][:n_gus + 1][:n_gus], :2]
-    inst = assemble(gcm, fs, gu, n_abs=2)
-    return gcm, fs, gu, inst
+    inst = assemble(gcm, (pool, pool), gu)
+    return gu, inst
 
 
 class TestGapBound:
@@ -60,8 +58,8 @@ class TestGapBound:
             assert gap_bound(inst, k) == pytest.approx(b1 / math.sqrt(k), rel=1e-12)
 
     def test_reported_by_solve(self):
-        _, fs, _, inst = random_instance(6)
-        rep = solve(inst, fs, duplication=4, seed=0)
+        _, _, _, inst = random_instance(6)
+        rep = solve(inst, duplication=4, seed=0)
         assert rep.gap_bound == pytest.approx(gap_bound(inst, 4), rel=1e-12)
 
     def test_rejects_bad_duplication(self):
@@ -80,10 +78,10 @@ class TestDualObjective:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_weak_duality_along_the_run(self, seed):
-        _, fs, _, inst = random_instance(seed, n_cells=6, n_grids=4, n_gus=5,
+        _, _, _, inst = random_instance(seed, n_cells=6, n_grids=4, n_gus=5,
                                          shared_pools=True)
         ilp, _ = oracles.binary_optimum(inst)
-        rep = solve(inst, fs, duplication=2, seed=seed, track_dual=True)
+        rep = solve(inst, duplication=2, seed=seed, track_dual=True)
         assert rep.dual_trace is not None
         for trace in rep.dual_trace:
             assert len(trace) == inst.n_cols
@@ -135,8 +133,7 @@ class TestDecodeAndRepair:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_repaired_placement_is_feasible(self, seed):
-        _, fs, gu, inst = random_instance(seed + 200, n_abs=3, n_cells=10, n_grids=6)
-        gcm = random_instance(seed + 200, n_abs=3, n_cells=10, n_grids=6)[0]
+        gcm, pools, gu, inst = random_instance(seed + 200, n_abs=3, n_cells=10, n_grids=6)
         rng = np.random.default_rng(seed)
         x = (rng.random(inst.n_cols) < 0.4).astype(np.int8)
         placement = decode_and_repair(x, inst)
@@ -144,16 +141,15 @@ class TestDecodeAndRepair:
         assert len(cells) == 3
         assert len(set(cells)) == 3
         for i, c in enumerate(cells):
-            assert c in fs.per_abs[i], f"ABS {i} got unreachable cell {c}"
+            assert c in pools[i], f"ABS {i} got unreachable cell {c}"
         assert placement.coverage_value == evaluate_placement(gcm, cells, gu)
 
     def test_impossible_distinctness_raises(self):
         spec = GridSpec(d1=100.0, d2=100.0, k1=2, k2=2, k1p=2, k2p=2, abs_alt=90.0)
         gcm = synth_gcm(spec, np.zeros((4, 4), dtype=bool))
         only = np.array([3], dtype=np.int64)
-        fs = FeasibleSets(per_abs=(only, only), union=only, radius=1.0)
         gu = gu_cell_centers(spec)[:1, :2]
-        inst = assemble(gcm, fs, gu, n_abs=2)
+        inst = assemble(gcm, (only, only), gu)
         with pytest.raises(InfeasibleSetError):
             decode_and_repair(np.zeros(inst.n_cols), inst)
 
@@ -164,13 +160,9 @@ class TestDecodeAndRepair:
         z = np.zeros((4, 4), dtype=bool)
         z[1, :] = True
         gcm = synth_gcm(spec, z)
-        fs = FeasibleSets(
-            per_abs=(np.array([1, 2], dtype=np.int64), np.array([2], dtype=np.int64)),
-            union=np.array([1, 2], dtype=np.int64),
-            radius=float("inf"),
-        )
+        pools = (np.array([1, 2], dtype=np.int64), np.array([2], dtype=np.int64))
         gu = gu_cell_centers(spec)[:2, :2]
-        inst = assemble(gcm, fs, gu, n_abs=2)
+        inst = assemble(gcm, pools, gu)
         placement = decode_and_repair(x_for_cells(inst, [2]), inst)
         assert sorted(placement.abs_cells) == [1, 2]
         assert placement.abs_cells[1] == 2
@@ -178,55 +170,55 @@ class TestDecodeAndRepair:
 
 class TestSolve:
     def test_dominant_cell_reaches_full_coverage(self):
-        _, fs, gu, inst = dominant_cell_setup()
-        rep = solve(inst, fs, duplication=1, seed=0)
+        gu, inst = dominant_cell_setup()
+        rep = solve(inst, duplication=1, seed=0)
         assert rep.coverage_value == inst.weights.sum() == len(gu)
         assert 1 in rep.placement.abs_cells
 
     def test_majority_of_seeds_reach_optimum(self):
-        _, fs, _, inst = random_instance(7, n_abs=2, n_cells=12, n_grids=6,
+        _, _, _, inst = random_instance(7, n_abs=2, n_cells=12, n_grids=6,
                                          n_gus=5, shared_pools=True)
         pools_pos = [np.arange(inst.n_u)] * 2
         opt = oracles.enumerate_optimum(inst.z_sub, inst.weights, pools_pos)
         hits = sum(
-            solve(inst, fs, duplication=3, seed=s).coverage_value == opt
+            solve(inst, duplication=3, seed=s).coverage_value == opt
             for s in range(100)
         )
         assert hits > 50, f"only {hits}/100 seeds reached the optimum {opt}"
 
     def test_restart_prefix_property(self):
-        _, fs, _, inst = random_instance(8)
-        one = solve(inst, fs, duplication=1, seed=5)
-        three = solve(inst, fs, duplication=3, seed=5)
-        six = solve(inst, fs, duplication=6, seed=5)
+        _, _, _, inst = random_instance(8)
+        one = solve(inst, duplication=1, seed=5)
+        three = solve(inst, duplication=3, seed=5)
+        six = solve(inst, duplication=6, seed=5)
         assert three.restart_values[:1] == one.restart_values
         assert six.restart_values[:3] == three.restart_values
         assert six.coverage_value >= three.coverage_value >= one.coverage_value
 
     def test_deterministic_replay(self):
-        _, fs, _, inst = random_instance(9)
-        a = solve(inst, fs, duplication=4, seed=3)
-        b = solve(inst, fs, duplication=4, seed=3)
+        _, _, _, inst = random_instance(9)
+        a = solve(inst, duplication=4, seed=3)
+        b = solve(inst, duplication=4, seed=3)
         assert a.placement.abs_cells == b.placement.abs_cells
         assert a.restart_values == b.restart_values
         assert a.best_restart == b.best_restart
         assert a.coverage_value == b.coverage_value
 
     def test_report_fields(self):
-        _, fs, _, inst = random_instance(10)
-        rep = solve(inst, fs, duplication=2, seed=1, track_dual=True)
+        _, _, _, inst = random_instance(10)
+        rep = solve(inst, duplication=2, seed=1, track_dual=True)
         assert len(rep.restart_values) == 2
         assert rep.coverage_value == rep.placement.coverage_value == max(rep.restart_values)
         assert rep.restart_values[rep.best_restart] == rep.coverage_value
         assert rep.gap_bound == gap_bound(inst, 2)
         assert len(rep.dual_trace) == 2
         assert all(len(t) == inst.n_cols for t in rep.dual_trace)
-        assert solve(inst, fs, duplication=2, seed=1).dual_trace is None
+        assert solve(inst, duplication=2, seed=1).dual_trace is None
 
     def test_validation(self):
-        _, fs, _, inst = random_instance(13)
+        _, _, _, inst = random_instance(13)
         with pytest.raises(ValueError):
-            solve(inst, fs, duplication=0)
+            solve(inst, duplication=0)
 
 
 class TestGreedyPass:
@@ -250,11 +242,11 @@ class TestGreedyPass:
     @pytest.mark.parametrize("n_abs", [1, 2, 3])
     def test_matches_integer_walk_over_e(self, n_abs, shared, multiplicity):
         for seed in range(25):
-            gcm, fs, gu, _ = random_instance(
+            gcm, pools, gu, _ = random_instance(
                 seed, n_abs=n_abs, n_cells=n_abs + 2 + seed % 5, n_grids=3 + seed % 5,
                 n_gus=2 + seed % 9, density=0.2 + 0.1 * (seed % 5), shared_pools=shared,
             )
-            inst = assemble(gcm, fs, gu, n_abs, weight_multiplicity=multiplicity)
+            inst = assemble(gcm, pools, gu, weight_multiplicity=multiplicity)
             x, seen = self.pass_with_iterates(inst, seed)
             order = np.random.default_rng([seed, 0]).permutation(inst.n_cols)
             want_x, want_y = oracles.integer_csc_walk(inst, order)

@@ -220,10 +220,8 @@ class TestPlanPeriod:
         state = PlanState(anchor_cells=(1, 25), gu_positions=gu, period=2)
         rec = plan_period(state, tiny_gcm, cfg)
         anchors = np.stack([cell_center_abs(cfg.spec, c)[:2] for c in (1, 25)])
-        fs = feasible_sets(anchors, cfg.spec, None, cfg.movement_radius,
-                           valid=tiny_gcm.abs_cell_valid)
-        inst = assemble(tiny_gcm, fs, gu, 2)
-        expect = exact_optimum(inst, fs)
+        pools = feasible_sets(anchors, cfg.spec, tiny_gcm.abs_cell_valid, cfg.movement_radius)
+        expect = exact_optimum(assemble(tiny_gcm, pools, gu))
         assert rec.planned_value == expect.coverage_value
         assert rec.anchor_cells == (1, 25)
         assert rec.gap_bound is None
@@ -257,9 +255,8 @@ class TestPlanPeriod:
         state = PlanState(anchor_cells=(1, 2), gu_positions=gu, period=3)
         rec = plan_period(state, tiny_gcm, cfg)
         anchors = np.stack([cell_center_abs(cfg.spec, c)[:2] for c in (1, 2)])
-        fs = feasible_sets(anchors, cfg.spec, None, cfg.movement_radius,
-                           valid=tiny_gcm.abs_cell_valid)
-        instance = assemble(tiny_gcm, fs, gu, 2)
+        pools = feasible_sets(anchors, cfg.spec, tiny_gcm.abs_cell_valid, cfg.movement_radius)
+        instance = assemble(tiny_gcm, pools, gu)
         assert rec.gap_bound == gap_bound(instance, cfg.solver.duplication)
 
 
@@ -357,11 +354,10 @@ class TestRunTrial:
         # move, so every period solves the same instance; after the first
         # flight the fleet parks on a static optimum.
         gu = log.gu_positions[0]
-        fs = feasible_sets(
-            log.abs_positions[0][:, :2], cfg.spec, None, cfg.movement_radius,
-            valid=tiny_gcm.abs_cell_valid,
+        pools = feasible_sets(
+            log.abs_positions[0][:, :2], cfg.spec, tiny_gcm.abs_cell_valid, cfg.movement_radius
         )
-        opt = exact_optimum(assemble(tiny_gcm, fs, gu, cfg.n_abs), fs)
+        opt = exact_optimum(assemble(tiny_gcm, pools, gu))
         steady = log.cr_simplified[cfg.flight_steps:]
         assert np.allclose(steady, opt.coverage_value / cfg.n_gus, atol=1e-12)
         for rec in log.periods:
