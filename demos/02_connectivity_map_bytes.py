@@ -12,7 +12,7 @@ import numpy as np
 from absmove import ChannelParams, Environment, GridSpec, build_gcm, generate_environment
 from absmove.channel import mean_gain, outage_probability, rician_k, snr
 from absmove.env import BuildingBlock
-from absmove.gcm import cell_center_abs, load_gcm, save_gcm
+from absmove.gcm import load_gcm, save_gcm
 
 
 def channel_walkthrough(params: ChannelParams) -> None:
@@ -48,7 +48,7 @@ def main() -> None:
           f" (invalid ones sit over too-tall roofs)")
     print(f"  connectivity density {gcm.z.mean():.3f} at outage threshold {gcm.eta}")
     u = int(np.flatnonzero(gcm.abs_cell_valid)[0]) + 1
-    print(f"  cell {u} centered at {cell_center_abs(spec, u)} covers "
+    print(f"  cell {u} centered at {spec.traversal.center(u)} covers "
           f"{int(gcm.z[u - 1].sum())} ground cells\n")
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -61,9 +61,9 @@ def main() -> None:
     # File layout: 56-byte header, then two little-endian bitsets.
     header = struct.unpack("<4s5I4d", blob[:56])
     magic, version, k1, k2, k1p, k2p, d1, d2, alt, eta = header
-    n_abs_cells = k1 * k2
-    n_pairs = n_abs_cells * k1p * k2p
-    validity_bytes = (n_abs_cells + 7) // 8
+    n_hover = k1 * k2
+    n_pairs = n_hover * k1p * k2p
+    validity_bytes = (n_hover + 7) // 8
     z_bytes = (n_pairs + 7) // 8
     print(f"file is {len(blob)} bytes:")
     print(f"  header  <4s5I4d : magic={magic!r} version={version} "

@@ -60,21 +60,11 @@ from .errors import (
 from .gcm import (
     Gcm,
     GridSpec,
-    abs_cell_centers,
-    abs_cell_of_position,
+    Plane,
     build_gcm,
-    cell_center_abs,
-    cell_center_gu,
-    flatten_abs,
-    flatten_gu,
-    gu_cell_centers,
-    gu_cell_of_position,
-    gu_cells_of_positions,
     load_gcm,
     nearest_valid_abs_cell,
     save_gcm,
-    unflatten_abs,
-    unflatten_gu,
     valid_abs_cells,
 )
 from .online_solver import SolverReport, decode_and_repair, dual_objective, gap_bound, solve

@@ -7,7 +7,8 @@ reachability row per ABS, one row per (selected-cell, grid) pair tying C_v to
 a_u, and one row per grid tying C_v to the selected cells that cover it.
 Binary bounds are left to the solvers. E is the reference encoding: the
 solvers work from the connectivity block z_sub, and E is built only when a
-caller asks for it (the dual objective and the test oracles).
+caller asks for it (the dual objective, the test oracles and the
+benchmark's traced nonzero count).
 
 ``feasible_sets`` gives each ABS its pool of reachable cells and ``assemble``
 turns the pools and a GU snapshot into a BilpInstance. Every solver takes
@@ -23,7 +24,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InfeasibleSetError
-from .gcm import Gcm, GridSpec, abs_cell_centers, gu_cells_of_positions
+from .gcm import Gcm, GridSpec
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ def feasible_sets(
     current_xy = np.atleast_2d(np.asarray(current_xy, dtype=float))
     if radius < 0.0:
         raise ValueError("radius must be non-negative")
-    centers = abs_cell_centers(spec)[:, :2]
+    centers = spec.traversal.centers[:, :2]
     pools = []
     for n, pos in enumerate(current_xy):
         d = np.hypot(centers[:, 0] - pos[0], centers[:, 1] - pos[1])
@@ -88,7 +89,7 @@ def occupied_grids(spec: GridSpec, gu_positions, weight_multiplicity: bool = Tru
     grid scores M; without it every occupied grid weighs 1.
     """
     gu_positions = np.atleast_2d(np.asarray(gu_positions, dtype=float))
-    v_ids, counts = np.unique(gu_cells_of_positions(spec, gu_positions), return_counts=True)
+    v_ids, counts = np.unique(spec.ground.cells_of(gu_positions), return_counts=True)
     weights = counts.astype(np.int64) if weight_multiplicity else np.ones(len(v_ids), np.int64)
     return v_ids, weights
 
@@ -116,7 +117,7 @@ class BilpInstance:
     @cached_property
     def u_xy(self) -> np.ndarray:
         """Horizontal centres of the traversal cells in ``u_ids``, (n_u, 2)."""
-        return abs_cell_centers(self.spec)[self.u_ids - 1, :2]
+        return self.spec.traversal.centers[self.u_ids - 1, :2]
 
     @property
     def n_v(self) -> int:

@@ -153,7 +153,7 @@ def cmd_build_gcm(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     sidecar = _write_cache_entry(gcm, out, gcm_cache_key(cfg, tc.env_seed))
     n_valid = int(gcm.abs_cell_valid.sum())
-    print(f"wrote {out} ({n_valid}/{tc.spec.n_abs_cells} valid cells) and {sidecar}")
+    print(f"wrote {out} ({n_valid}/{tc.spec.traversal.size} valid cells) and {sidecar}")
     return 0
 
 

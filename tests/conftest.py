@@ -13,7 +13,6 @@ from absmove import (
     assemble,
     build_gcm,
     generate_environment,
-    gu_cell_centers,
 )
 
 
@@ -78,7 +77,7 @@ def random_instance(seed: int, n_abs: int = 2, n_cells: int = 8, n_grids: int = 
                 z[u - 1, v - 1] = True
     gcm = synth_gcm(spec, z)
 
-    centers = gu_cell_centers(spec)
+    centers = spec.ground.centers
     gu_grid = rng.choice(grids, size=n_gus, replace=True)
     gu_positions = centers[gu_grid - 1, :2]
 

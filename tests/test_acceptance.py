@@ -30,7 +30,7 @@ from absmove.baselines import exact_optimum
 from absmove.channel import db_to_linear, outage_probability
 from absmove.config import merge_config, parse_trial_config
 from absmove.env import is_los
-from absmove.gcm import build_gcm, cell_center_abs, save_gcm
+from absmove.gcm import build_gcm, save_gcm
 from absmove.online_solver import gap_bound, solve
 from absmove.sim import (
     export_metrics_csv,

@@ -7,13 +7,11 @@ from absmove import (
     GridSpec,
     InfeasibleSetError,
     OracleCapError,
-    abs_cell_centers,
     assemble,
     covered_weight,
     ea_step,
     evaluate_placement,
     exact_optimum,
-    gu_cell_centers,
     kmeans_centroids,
     kmeans_init,
     make_placement,
@@ -37,7 +35,7 @@ class TestExactOptimum:
         spec = GridSpec(d1=100.0, d2=100.0, k1=3, k2=3, k1p=3, k2p=3, abs_alt=90.0)
         gcm = synth_gcm(spec, np.ones((9, 9), dtype=bool))
         pool = np.arange(1, 10, dtype=np.int64)
-        gu = gu_cell_centers(spec)[[0, 0, 4, 8], :2]
+        gu = spec.ground.centers[[0, 0, 4, 8], :2]
         inst = assemble(gcm, (pool, pool), gu)
         best = exact_optimum(inst)
         assert best.coverage_value == 4
@@ -52,7 +50,7 @@ class TestExactOptimum:
             z[u - 1] = rng.random(9) < 0.35
         gcm = synth_gcm(spec, z)
         grids = rng.integers(1, 10, size=10)
-        gu = gu_cell_centers(spec)[grids - 1, :2]
+        gu = spec.ground.centers[grids - 1, :2]
         inst = assemble(gcm, (pool, pool), gu)
         best = exact_optimum(inst)
         expect = oracles.enumerate_pairs(inst.z_sub, inst.weights, np.arange(inst.n_u))
@@ -85,7 +83,7 @@ class TestExactOptimum:
         spec = GridSpec(d1=100.0, d2=100.0, k1=2, k2=2, k1p=2, k2p=2, abs_alt=90.0)
         gcm = synth_gcm(spec, np.zeros((4, 4), dtype=bool))
         only = np.array([2], dtype=np.int64)
-        gu = gu_cell_centers(spec)[:1, :2]
+        gu = spec.ground.centers[:1, :2]
         inst = assemble(gcm, (only, only), gu)
         with pytest.raises(InfeasibleSetError):
             exact_optimum(inst)
@@ -167,7 +165,7 @@ class TestKmeansInit:
     def test_centroid_snap_is_nearest(self, empty_gcm, spec20):
         gu = np.array([[100.0, 100.0]] * 4)
         p = kmeans_init(all_cells_instance(empty_gcm, gu, 1), gu, seed=0)
-        centers = abs_cell_centers(spec20)
+        centers = spec20.traversal.centers
         d = np.hypot(centers[:, 0] - 100.0, centers[:, 1] - 100.0)
         assert p.abs_cells[0] == int(np.argmin(d)) + 1
 
@@ -214,7 +212,7 @@ class TestEaStep:
         spec = GridSpec(d1=100.0, d2=100.0, k1=3, k2=3, k1p=3, k2p=3, abs_alt=90.0)
         gcm = synth_gcm(spec, np.ones((9, 9), dtype=bool))
         pool = np.arange(1, 10, dtype=np.int64)
-        gu = gu_cell_centers(spec)[[0, 3], :2]
+        gu = spec.ground.centers[[0, 3], :2]
         inst = assemble(gcm, (pool, pool), gu)
         start = make_placement([1, 2], evaluate_placement(gcm, [1, 2], gu))
         out = ea_step(start, inst, rounds=25, mutation_radius=1e6, seed=1)

@@ -6,12 +6,10 @@ import pytest
 from absmove import (
     GridSpec,
     InfeasibleSetError,
-    abs_cell_centers,
     assemble,
     covered_weight,
     evaluate_placement,
     feasible_sets,
-    gu_cell_centers,
     make_placement,
 )
 
@@ -22,7 +20,7 @@ from conftest import random_instance, synth_gcm
 class TestFeasibleSets:
     def test_brute_force_center_scan(self, empty_gcm, spec20):
         pools = feasible_sets([(250.0, 250.0)], spec20, empty_gcm.abs_cell_valid, radius=50.0)
-        centers = abs_cell_centers(spec20)
+        centers = spec20.traversal.centers
         d = np.hypot(centers[:, 0] - 250.0, centers[:, 1] - 250.0)
         expect = np.flatnonzero(d <= 50.0) + 1
         assert len(pools) == 1
@@ -52,9 +50,7 @@ class TestFeasibleSets:
 
 
 def flatten(spec, x, y):
-    from absmove import abs_cell_of_position
-
-    return abs_cell_of_position(spec, (x, y))
+    return int(spec.traversal.cells_of((x, y))[0])
 
 
 def tiny_two_cell_instance():
@@ -63,7 +59,7 @@ def tiny_two_cell_instance():
     z = np.zeros((4, 4), dtype=bool)
     z[0, 0] = True  # cell 1 covers grid 1; cell 2 covers nothing
     gcm = synth_gcm(spec, z)
-    gu = gu_cell_centers(spec)[0:1, :2]
+    gu = spec.ground.centers[0:1, :2]
     pools = (np.array([1, 2], dtype=np.int64),)
     return gcm, pools, gu, assemble(gcm, pools, gu)
 
@@ -109,7 +105,8 @@ class TestAssembleProperties:
         assert np.array_equal(inst.u_ids, np.unique(np.concatenate(pools)))
         for pos, ids in zip(inst.per_abs_pos, pools):
             assert np.array_equal(inst.u_ids[pos], ids)
-        assert np.array_equal(inst.u_xy, abs_cell_centers(inst.spec)[inst.u_ids - 1, :2])
+        expect = [inst.spec.traversal.center(int(u))[:2] for u in inst.u_ids]
+        assert np.array_equal(inst.u_xy, expect)
 
     def test_multiplicity_weights(self, spec20, empty_gcm):
         gus = np.array([[10.0, 10.0], [11.0, 11.0], [12.0, 10.5], [400.0, 400.0]])

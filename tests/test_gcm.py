@@ -13,78 +13,96 @@ from absmove import (
     Environment,
     GcmFormatError,
     GridSpec,
-    abs_cell_centers,
-    abs_cell_of_position,
+    Plane,
     build_gcm,
-    cell_center_abs,
-    cell_center_gu,
-    flatten_abs,
-    flatten_gu,
-    gu_cell_centers,
-    gu_cell_of_position,
     is_covered,
     load_gcm,
     nearest_valid_abs_cell,
     save_gcm,
-    unflatten_abs,
-    unflatten_gu,
     valid_abs_cells,
 )
 
 
+def _cell_of(plane: Plane, xy) -> int:
+    return int(plane.cells_of(xy)[0])
+
+
 class TestGridIndexing:
     def test_flatten_example(self):
+        # 1-based cell (2, 3) of a 25x40 grid over 1000 m is cell 43.
         spec = GridSpec(d1=1000.0, d2=1000.0, k1=25, k2=40, k1p=40, k2p=40, abs_alt=90.0)
-        assert flatten_abs(spec, 2, 3) == 43
-        assert unflatten_abs(spec, 43) == (2, 3)
+        plane = spec.traversal
+        assert plane == Plane(1000.0, 1000.0, 25, 40, 90.0)
+        assert np.array_equal(plane.center(43), [1.5 * 40.0, 2.5 * 25.0, 90.0])
+        assert _cell_of(plane, plane.center(43)[:2]) == 43
 
     def test_first_cell_center(self, spec20):
-        assert np.allclose(cell_center_abs(spec20, 1), [12.5, 12.5, 90.0])
+        assert np.allclose(spec20.traversal.center(1), [12.5, 12.5, 90.0])
 
     def test_last_cell_center(self, spec20):
-        last = spec20.k1 * spec20.k2
-        assert np.allclose(cell_center_abs(spec20, last), [487.5, 487.5, 90.0])
+        last = spec20.traversal.size
+        assert last == spec20.k1 * spec20.k2
+        assert np.allclose(spec20.traversal.center(last), [487.5, 487.5, 90.0])
 
     def test_roundtrip_all_cells(self, spec20):
-        for u in range(1, spec20.k1 * spec20.k2 + 1):
-            i, j = unflatten_abs(spec20, u)
-            assert 1 <= i <= spec20.k1 and 1 <= j <= spec20.k2
-            assert flatten_abs(spec20, i, j) == u
+        for plane in (spec20.traversal, spec20.ground, Plane(1000.0, 600.0, 25, 40, 90.0)):
+            ids = plane.cells_of(plane.centers[:, :2])
+            assert np.array_equal(ids, np.arange(1, plane.size + 1))
 
     def test_gu_plane_independent_resolution(self):
         spec = GridSpec(d1=500.0, d2=500.0, k1=10, k2=10, k1p=25, k2p=25, abs_alt=90.0)
-        assert spec.alpha1 == 50.0 and spec.alpha1p == 20.0
-        assert flatten_gu(spec, 1, 1) == 1
-        assert unflatten_gu(spec, 25 * 25) == (25, 25)
-        assert np.allclose(cell_center_gu(spec, 1), [10.0, 10.0, 0.0])
+        assert spec.traversal.size == 100 and spec.ground.size == 625
+        assert np.allclose(spec.traversal.center(1), [25.0, 25.0, 90.0])
+        assert np.allclose(spec.ground.center(1), [10.0, 10.0, 0.0])
+        assert np.allclose(spec.ground.center(625), [490.0, 490.0, 0.0])
+        assert _cell_of(spec.ground, (495.0, 495.0)) == 625
+        assert _cell_of(spec.traversal, (495.0, 495.0)) == 100
 
     def test_out_of_range_rejected(self, spec20):
-        for bad in (0, spec20.k1 * spec20.k2 + 1):
-            with pytest.raises(ValueError):
-                unflatten_abs(spec20, bad)
-        with pytest.raises(ValueError):
-            flatten_abs(spec20, 0, 1)
-        with pytest.raises(ValueError):
-            flatten_abs(spec20, 1, 21)
+        for plane in (spec20.traversal, spec20.ground):
+            for bad in (0, -1, plane.size + 1):
+                with pytest.raises(ValueError):
+                    plane.center(bad)
 
     def test_centers_match_position_lookup(self, spec20):
         rng = np.random.default_rng(2)
-        for _ in range(100):
-            xy = rng.uniform(0.0, 500.0, size=2)
-            u = abs_cell_of_position(spec20, xy)
-            c = cell_center_abs(spec20, u)
-            assert abs(c[0] - xy[0]) <= spec20.alpha1 / 2 + 1e-9
-            assert abs(c[1] - xy[1]) <= spec20.alpha2 / 2 + 1e-9
-            v = gu_cell_of_position(spec20, xy)
-            g = cell_center_gu(spec20, v)
-            assert abs(g[0] - xy[0]) <= spec20.alpha1p / 2 + 1e-9
+        for plane in (spec20.traversal, spec20.ground):
+            half = (plane.d1 / plane.k1 / 2, plane.d2 / plane.k2 / 2)
+            for _ in range(100):
+                xy = rng.uniform(0.0, 500.0, size=2)
+                c = plane.center(_cell_of(plane, xy))
+                assert abs(c[0] - xy[0]) <= half[0] + 1e-9
+                assert abs(c[1] - xy[1]) <= half[1] + 1e-9
 
     def test_center_tables_match_scalars(self, spec20):
-        tab_a = abs_cell_centers(spec20)
-        tab_g = gu_cell_centers(spec20)
-        for u in (1, 57, 400):
-            assert np.allclose(tab_a[u - 1], cell_center_abs(spec20, u))
-            assert np.allclose(tab_g[u - 1], cell_center_gu(spec20, u))
+        for plane in (spec20.traversal, spec20.ground):
+            assert plane.centers.shape == (plane.size, 3)
+            for u in (1, 57, 400):
+                assert np.array_equal(plane.centers[u - 1], plane.center(u))
+
+    def test_centers_cached_and_read_only(self, spec20):
+        plane = spec20.traversal
+        assert spec20.traversal is plane and plane.centers is plane.centers
+        assert not plane.centers.flags.writeable
+        with pytest.raises(ValueError):
+            plane.centers[0, 0] = -1.0
+
+    def test_center_returns_a_copy(self, spec20):
+        plane = spec20.ground
+        c = plane.center(5)
+        c[:] = -1.0
+        assert np.array_equal(plane.center(5), plane.centers[4])
+        assert plane.centers[4, 0] > 0.0
+
+    def test_cells_of_far_edge_and_outside(self, spec20):
+        for plane in (spec20.traversal, spec20.ground):
+            assert _cell_of(plane, (500.0, 500.0)) == plane.size
+            assert _cell_of(plane, (0.0, 0.0)) == 1
+            assert np.array_equal(plane.cells_of([(500.0, 0.0), (0.0, 500.0)]),
+                                  [plane.size - plane.k2 + 1, plane.k2])
+            for bad in ((-1e-9, 10.0), (10.0, 500.0 + 1e-9)):
+                with pytest.raises(ValueError, match="outside the area"):
+                    plane.cells_of(bad)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -107,9 +125,9 @@ class TestValidity:
             seed=0,
         )
         valid = valid_abs_cells(env, spec20)
-        u = abs_cell_of_position(spec20, (112.5, 137.5))
+        u = _cell_of(spec20.traversal, (112.5, 137.5))
         assert not valid[u - 1]
-        far = abs_cell_of_position(spec20, (400.0, 400.0))
+        far = _cell_of(spec20.traversal, (400.0, 400.0))
         assert valid[far - 1]
 
     def test_invalid_rows_are_zero(self, params, spec20):
@@ -132,25 +150,25 @@ class TestValidity:
         gcm = build_gcm(env, params, spec20)
         # A position in a valid cell maps to its own cell.
         u = nearest_valid_abs_cell(gcm, (400.0, 400.0))
-        assert u == abs_cell_of_position(spec20, (400.0, 400.0))
+        assert u == _cell_of(spec20.traversal, (400.0, 400.0))
         # A position in the invalidated cell snaps to a neighbor.
-        bad = abs_cell_of_position(spec20, (112.5, 137.5))
+        bad = _cell_of(spec20.traversal, (112.5, 137.5))
         snapped = nearest_valid_abs_cell(gcm, (112.5, 137.5))
         assert snapped != bad
         assert gcm.abs_cell_valid[snapped - 1]
-        c = cell_center_abs(spec20, snapped)
-        assert math.hypot(c[0] - 112.5, c[1] - 137.5) <= spec20.alpha1 + 1e-9
+        c = spec20.traversal.center(snapped)
+        assert math.hypot(c[0] - 112.5, c[1] - 137.5) <= spec20.d1 / spec20.k1 + 1e-9
 
 
 class TestBuild:
     def test_entries_match_full_chain(self, city_gcm, city_env, params, spec20):
         rng = np.random.default_rng(31)
-        n_u, n_v = spec20.n_abs_cells, spec20.n_gu_cells
+        n_u, n_v = spec20.traversal.size, spec20.ground.size
         us = rng.integers(1, n_u + 1, size=1000)
         vs = rng.integers(1, n_v + 1, size=1000)
         for u, v in zip(us, vs):
-            p = cell_center_abs(spec20, int(u))
-            q = cell_center_gu(spec20, int(v))
+            p = spec20.traversal.center(int(u))
+            q = spec20.ground.center(int(v))
             q[2] = params.gu_alt
             expect = city_gcm.abs_cell_valid[u - 1] and is_covered(params, city_env, p, q)
             assert city_gcm.z[u - 1, v - 1] == expect, (u, v)
@@ -160,8 +178,9 @@ class TestBuild:
         assert again == city_gcm
 
     def test_directly_overhead_connected(self, empty_gcm, spec20):
-        u = flatten_abs(spec20, 4, 7)
-        v = flatten_gu(spec20, 4, 7)  # same center, aligned planes
+        xy = (87.5, 162.5)  # centre of cell (4, 7) on both aligned planes
+        u, v = _cell_of(spec20.traversal, xy), _cell_of(spec20.ground, xy)
+        assert u == v == 3 * 20 + 7
         assert empty_gcm.z[u - 1, v - 1]
 
     def test_threshold_one_gives_all_ones(self, empty_env, spec20):
@@ -181,9 +200,9 @@ class TestBuild:
         spec = GridSpec(d1=3000.0, d2=3000.0, k1=6, k2=6, k1p=30, k2p=30, abs_alt=90.0)
         env = Environment(d1=3000.0, d2=3000.0, blocks=(), seed=0)
         gcm = build_gcm(env, params, spec)
-        u = flatten_abs(spec, 3, 3)
-        p = cell_center_abs(spec, u)
-        centers = gu_cell_centers(spec)
+        u = 2 * 6 + 3  # cell (3, 3)
+        p = spec.traversal.center(u)
+        centers = spec.ground.centers
         d = np.hypot(centers[:, 0] - p[0], centers[:, 1] - p[1])
         row = gcm.z[u - 1]
         assert row.any() and not row.all()
@@ -208,7 +227,7 @@ class TestBinaryFormat:
     def test_exact_file_size(self, tmp_path, city_gcm, spec20):
         path = tmp_path / "map.gcm"
         save_gcm(city_gcm, path)
-        n_u, n_v = spec20.n_abs_cells, spec20.n_gu_cells
+        n_u, n_v = spec20.traversal.size, spec20.ground.size
         expected = 56 + (n_u + 7) // 8 + (n_u * n_v + 7) // 8
         assert path.stat().st_size == expected
 

@@ -13,7 +13,6 @@ from absmove import (
     dual_objective,
     evaluate_placement,
     gap_bound,
-    gu_cell_centers,
     solve,
 )
 
@@ -36,7 +35,7 @@ def dominant_cell_setup(n_gus=3):
     z[0, :] = True
     gcm = synth_gcm(spec, z)
     pool = np.array([1, 2, 3, 4], dtype=np.int64)
-    centers = gu_cell_centers(spec)
+    centers = spec.ground.centers
     gu = centers[[0, 0, 1, 2][:n_gus + 1][:n_gus], :2]
     inst = assemble(gcm, (pool, pool), gu)
     return gu, inst
@@ -148,7 +147,7 @@ class TestDecodeAndRepair:
         spec = GridSpec(d1=100.0, d2=100.0, k1=2, k2=2, k1p=2, k2p=2, abs_alt=90.0)
         gcm = synth_gcm(spec, np.zeros((4, 4), dtype=bool))
         only = np.array([3], dtype=np.int64)
-        gu = gu_cell_centers(spec)[:1, :2]
+        gu = spec.ground.centers[:1, :2]
         inst = assemble(gcm, (only, only), gu)
         with pytest.raises(InfeasibleSetError):
             decode_and_repair(np.zeros(inst.n_cols), inst)
@@ -161,7 +160,7 @@ class TestDecodeAndRepair:
         z[1, :] = True
         gcm = synth_gcm(spec, z)
         pools = (np.array([1, 2], dtype=np.int64), np.array([2], dtype=np.int64))
-        gu = gu_cell_centers(spec)[:2, :2]
+        gu = spec.ground.centers[:2, :2]
         inst = assemble(gcm, pools, gu)
         placement = decode_and_repair(x_for_cells(inst, [2]), inst)
         assert sorted(placement.abs_cells) == [1, 2]

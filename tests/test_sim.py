@@ -19,13 +19,11 @@ from absmove import (
     TrialConfig,
     assemble,
     build_gcm,
-    cell_center_abs,
     evaluate_placement,
     exact_optimum,
     feasible_sets,
     fly_step,
     gap_bound,
-    gu_cells_of_positions,
     nearest_valid_abs_cell,
     obstructed_mask,
     plan_period,
@@ -219,7 +217,7 @@ class TestPlanPeriod:
         gu = rng.uniform(0, 200, size=(6, 2))
         state = PlanState(anchor_cells=(1, 25), gu_positions=gu, period=2)
         rec = plan_period(state, tiny_gcm, cfg)
-        anchors = np.stack([cell_center_abs(cfg.spec, c)[:2] for c in (1, 25)])
+        anchors = np.stack([cfg.spec.traversal.center(c)[:2] for c in (1, 25)])
         pools = feasible_sets(anchors, cfg.spec, tiny_gcm.abs_cell_valid, cfg.movement_radius)
         expect = exact_optimum(assemble(tiny_gcm, pools, gu))
         assert rec.planned_value == expect.coverage_value
@@ -254,7 +252,7 @@ class TestPlanPeriod:
         gu = rng.uniform(0, 200, size=(6, 2))
         state = PlanState(anchor_cells=(1, 2), gu_positions=gu, period=3)
         rec = plan_period(state, tiny_gcm, cfg)
-        anchors = np.stack([cell_center_abs(cfg.spec, c)[:2] for c in (1, 2)])
+        anchors = np.stack([cfg.spec.traversal.center(c)[:2] for c in (1, 2)])
         pools = feasible_sets(anchors, cfg.spec, tiny_gcm.abs_cell_valid, cfg.movement_radius)
         instance = assemble(tiny_gcm, pools, gu)
         assert rec.gap_bound == gap_bound(instance, cfg.solver.duplication)
@@ -298,7 +296,7 @@ class TestRunTrial:
             if rec.planned_value < 0:
                 continue
             arrive = (rec.period - 1) * j + f
-            expect = np.stack([cell_center_abs(cfg.spec, c) for c in rec.target_cells])
+            expect = np.stack([cfg.spec.traversal.center(c) for c in rec.target_cells])
             assert np.allclose(log.abs_positions[arrive], expect, atol=1e-9)
             # Position holds through the service phase.
             assert np.array_equal(log.abs_positions[arrive], log.abs_positions[rec.period * j])
@@ -309,12 +307,15 @@ class TestRunTrial:
         assert log.boundary_violations == 0
         assert log.exclusion_violations == 0
 
-    def test_simplified_metric_replay(self, tiny_env, tiny_gcm):
-        cfg = tiny_cfg()
+    @pytest.mark.parametrize("weight_multiplicity", [True, False])
+    def test_simplified_metric_replay(self, tiny_env, tiny_gcm, weight_multiplicity):
+        # The per-step CR counts covered users even when planning counts
+        # covered grids.
+        cfg = tiny_cfg(weight_multiplicity=weight_multiplicity)
         log = run_trial(cfg, tiny_env, tiny_gcm)
         for i in range(cfg.n_steps):
             cells = [nearest_valid_abs_cell(tiny_gcm, p[:2]) for p in log.abs_positions[i + 1]]
-            grids = gu_cells_of_positions(cfg.spec, log.gu_positions[i + 1])
+            grids = cfg.spec.ground.cells_of(log.gu_positions[i + 1])
             covered = tiny_gcm.z[np.array(cells) - 1][:, grids - 1].any(axis=0)
             assert covered.mean() == pytest.approx(log.cr_simplified[i], abs=1e-12)
 
@@ -397,17 +398,10 @@ class TestValidateTrialLog:
         with pytest.raises(ContractViolationError):
             validate_trial_log(bad)
 
-    def test_detects_acr_mismatch(self, good_log):
-        bad = dataclasses.replace(good_log, acr_simplified=good_log.acr_simplified + 0.01)
-        with pytest.raises(ContractViolationError, match="ACR"):
-            validate_trial_log(bad)
-
     def test_detects_cr_out_of_range(self, good_log):
         cr = good_log.cr_actual.copy()
         cr[0] = 1.5
-        bad = dataclasses.replace(
-            good_log, cr_actual=cr, acr_actual=float(cr.mean())
-        )
+        bad = dataclasses.replace(good_log, cr_actual=cr)
         with pytest.raises(ContractViolationError):
             validate_trial_log(bad)
 
