@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from absmove import ChannelParams, Environment, GridSpec, build_gcm, generate_environment
-from absmove.channel import mean_gain, outage_probability, rician_k, snr
+from absmove.channel import link_budget, outage_probability
 from absmove.env import BuildingBlock
 from absmove.gcm import load_gcm, save_gcm
 
@@ -18,20 +18,20 @@ from absmove.gcm import load_gcm, save_gcm
 def channel_walkthrough(params: ChannelParams) -> None:
     open_land = Environment(d1=1000.0, d2=1000.0, blocks=(), seed=0)
     p = np.array([250.0, 250.0, params.abs_alt])
+    dists = np.array([50.0, 150.0, 300.0, 450.0])
+    qs = np.column_stack([250.0 + dists, np.full(4, 250.0), np.full(4, params.gu_alt)])
+    mean_snr, k = link_budget(params, open_land, p, qs)
+    pout = outage_probability(params, mean_snr, k)
     print("outage versus ground distance (clear line of sight):")
-    for dist in (50.0, 150.0, 300.0, 450.0):
-        q = np.array([250.0 + dist, 250.0, params.gu_alt])
-        k = rician_k(params, p, q)
-        mean_snr = snr(params, mean_gain(params, open_land, p, q))
-        pout = outage_probability(params, mean_snr, k)
-        print(f"  {dist:5.0f} m: rician K {k:8.1f}, mean SNR {10 * np.log10(mean_snr):6.1f} dB, "
-              f"outage {pout:.3g}")
+    for dist, k_i, snr_i, pout_i in zip(dists, k, mean_snr, pout):
+        print(f"  {dist:5.0f} m: rician K {k_i:8.1f}, mean SNR {10 * np.log10(snr_i):6.1f} dB, "
+              f"outage {pout_i:.3g}")
     # Same geometry with one tower in the way: harsher path loss plus
     # Rayleigh fading (K = 0) push outage toward certainty.
     tower = Environment(d1=1000.0, d2=1000.0, seed=0, blocks=(
         BuildingBlock(center_xy=(325.0, 250.0), half_width=15.0, height=85.0),))
-    q = np.array([400.0, 250.0, params.gu_alt])
-    pout_nlos = outage_probability(params, snr(params, mean_gain(params, tower, p, q)), 0.0)
+    q = np.array([[400.0, 250.0, params.gu_alt]])
+    pout_nlos = outage_probability(params, *link_budget(params, tower, p, q))[0]
     print(f"  150 m with a tower in the way: outage {pout_nlos:.3f}\n")
 
 

@@ -21,14 +21,8 @@ from .channel import (
     ModelValidityWarning,
     coverage_mask,
     db_to_linear,
-    is_covered,
-    linear_to_db,
-    marcum_q1,
-    mean_gain,
+    link_budget,
     outage_probability,
-    rician_k,
-    sample_rician_power,
-    snr,
 )
 from .config import (
     ExperimentSpec,

@@ -3,7 +3,9 @@
 All link math is deterministic. The mean channel gain follows the urban-macro
 median path-loss formulas (LoS and NLoS branches, no shadowing term); small
 scale fading enters only through the outage probability of a Rician (LoS)
-or Rayleigh (NLoS) envelope, which is a noncentral chi-square CDF.
+or Rayleigh (NLoS) envelope, which is a noncentral chi-square CDF. The
+chain is written once: ``link_budget`` gives each link's mean SNR and K,
+``outage_probability`` its outage, and ``coverage_mask`` the verdict.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chndtr
 
-from .env import Environment, is_los, los_blocked_mask
+from .env import Environment, los_blocked_mask
 
 SPEED_OF_LIGHT = 299792458.0
 # 3D distance floor of the path-loss model's validity range, metres.
@@ -30,10 +32,6 @@ class ModelValidityWarning(UserWarning):
 
 def db_to_linear(db):
     return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
-
-
-def linear_to_db(x):
-    return 10.0 * np.log10(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -86,11 +84,12 @@ def _path_loss_db(params: ChannelParams, d2d, d3d, h_bs: float, h_ut: float, los
     d2d = np.asarray(d2d, dtype=float)
     below = d3d < MIN_MODEL_DISTANCE
     if np.any(below):
+        # Attributed to the caller of coverage_mask, the chain's entry point.
         warnings.warn(
             f"{int(np.count_nonzero(below))} link(s) below the {MIN_MODEL_DISTANCE:.0f} m "
             "3D distance floor; clamped",
             ModelValidityWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
         d3d = np.maximum(d3d, MIN_MODEL_DISTANCE)
     fc = params.carrier_ghz
@@ -121,46 +120,6 @@ def _path_loss_db(params: ChannelParams, d2d, d3d, h_bs: float, h_ut: float, los
     return np.where(los, pl_los, pl_nlos)
 
 
-def mean_gain(params: ChannelParams, env: Environment, p, q) -> float:
-    """Mean channel gain (linear) between a transmitter p and receiver q."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    los = is_los(env, p, q)
-    d2d = math.hypot(p[0] - q[0], p[1] - q[1])
-    d3d = float(np.linalg.norm(p - q))
-    pl = _path_loss_db(params, d2d, d3d, float(p[2]), float(q[2]), los)
-    return float(10.0 ** (-pl / 10.0))
-
-
-def rician_k(params: ChannelParams, p, q) -> float:
-    """LoS Rician K factor (linear) from the elevation angle of p above q."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p[2] <= q[2]:
-        raise ValueError("transmitter must be above the receiver")
-    d2d = math.hypot(p[0] - q[0], p[1] - q[1])
-    theta = math.atan2(p[2] - q[2], d2d)
-    return params.a1 * math.exp(params.a2 * theta)
-
-
-def snr(params: ChannelParams, gain):
-    """Mean SNR (linear) from a linear mean gain."""
-    return np.asarray(gain, dtype=float) * 10.0 ** (params.snr_gap_db / 10.0)
-
-
-def marcum_q1(a, b):
-    """First-order Marcum Q function, elementwise over broadcastable arrays.
-
-    Q1(a, b) is the survival function at b^2 of a noncentral chi-square
-    variable with two degrees of freedom and noncentrality a^2.
-    """
-    a_arr, b_arr = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    if np.any(a_arr < 0.0) or np.any(b_arr < 0.0) or np.any(~np.isfinite(a_arr)):
-        raise ValueError("marcum_q1 requires finite a >= 0 and b >= 0")
-    q = 1.0 - chndtr(b_arr * b_arr, 2.0, a_arr * a_arr)
-    return float(q) if q.ndim == 0 else q
-
-
 def outage_probability(params: ChannelParams, snr_mean, k):
     """Probability that instantaneous SNR falls below the service threshold.
 
@@ -181,18 +140,16 @@ def outage_probability(params: ChannelParams, snr_mean, k):
     return float(p_out) if p_out.ndim == 0 else p_out
 
 
-def coverage_mask(params: ChannelParams, env: Environment, p, qs) -> np.ndarray:
-    """Vectorized full-chain coverage test from one transmitter to many points.
+def link_budget(params: ChannelParams, env: Environment, p, qs):
+    """Mean SNR and Rician K (both linear) from one transmitter to many points.
 
     Chain per link: LoS geometry -> branch path loss -> mean SNR -> angular
-    K factor (zero when blocked) -> outage, compared against the threshold.
+    K factor, zero on blocked links. Receivers share one altitude.
     """
     p = np.asarray(p, dtype=float)
     qs = np.asarray(qs, dtype=float)
-    if qs.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
     if np.ptp(qs[:, 2]) != 0.0:
-        raise ValueError("coverage_mask expects a uniform receiver altitude")
+        raise ValueError("link_budget expects a uniform receiver altitude")
     blocked = los_blocked_mask(env, p, qs)
     dx = qs[:, 0] - p[0]
     dy = qs[:, 1] - p[1]
@@ -204,25 +161,13 @@ def coverage_mask(params: ChannelParams, env: Environment, p, qs) -> np.ndarray:
     snr_v = 10.0 ** ((params.snr_gap_db - pl) / 10.0)
     theta = np.arctan2(dz, d2d)
     k_v = np.where(los, params.a1 * np.exp(params.a2 * theta), 0.0)
-    p_out = outage_probability(params, snr_v, k_v)
-    return p_out < params.outage_threshold
+    return snr_v, k_v
 
 
-def is_covered(params: ChannelParams, env: Environment, p, q) -> bool:
-    """True when the outage probability of the p->q link is below threshold."""
-    q = np.asarray(q, dtype=float)
-    return bool(coverage_mask(params, env, p, q[None, :])[0])
-
-
-def sample_rician_power(k, rng: np.random.Generator, size=None) -> np.ndarray:
-    """Draw |h|^2 for a unit-mean-power Rician fading coefficient.
-
-    h = sqrt(k/(k+1)) + sqrt(1/(2(k+1))) * (x + jy) with x, y standard normal;
-    k = 0 reduces to Rayleigh fading. Used by the Monte-Carlo outage checks.
-    """
-    k = float(k)
-    mean = math.sqrt(k / (k + 1.0))
-    sigma = math.sqrt(1.0 / (2.0 * (k + 1.0)))
-    re = mean + sigma * rng.standard_normal(size)
-    im = sigma * rng.standard_normal(size)
-    return re * re + im * im
+def coverage_mask(params: ChannelParams, env: Environment, p, qs) -> np.ndarray:
+    """Full-chain coverage test from one transmitter to many points: the
+    ``link_budget`` of each link, then its outage against the threshold."""
+    qs = np.asarray(qs, dtype=float)
+    if qs.shape[0] == 0:
+        return np.zeros(0, dtype=bool)
+    return outage_probability(params, *link_budget(params, env, p, qs)) < params.outage_threshold

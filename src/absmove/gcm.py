@@ -12,6 +12,7 @@ cell's center.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -89,6 +90,8 @@ class GridSpec:
     abs_alt: float
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.d1, self.d2, self.abs_alt)):
+            raise ValueError("area dimensions and abs_alt must be finite")
         if self.d1 <= 0.0 or self.d2 <= 0.0:
             raise ValueError("area dimensions must be positive")
         for name in ("k1", "k2", "k1p", "k2p"):
@@ -237,4 +240,7 @@ def load_gcm(path: str | Path) -> Gcm:
         np.frombuffer(raw, dtype=np.uint8, count=n_z_bytes, offset=off),
         count=n_abs * n_gu, bitorder="little",
     ).astype(bool).reshape(n_abs, n_gu)
-    return Gcm(spec=spec, z=z, abs_cell_valid=valid, eta=float(eta))
+    try:
+        return Gcm(spec=spec, z=z, abs_cell_valid=valid, eta=float(eta))
+    except ValueError as exc:
+        raise GcmFormatError(f"{path}: inconsistent payload: {exc}") from exc

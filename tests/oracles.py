@@ -76,12 +76,45 @@ def _boxes(env) -> tuple[np.ndarray, np.ndarray]:
     return mins, maxs
 
 
+def _sample_window(p, d, lo, hi, n_samples: int) -> tuple[int, int] | None:
+    """Sample indices that can fall strictly inside the box (lo, hi).
+
+    A sample is p + t*d in floating point, within 2u(|p| + |d|) of the exact
+    point on each axis (u the unit roundoff, t in [0, 1]). The window is the
+    slab interval of t widened by several times that error over |d| (which
+    also covers the rounding of the interval itself) and by two sample
+    spacings, so every sample outside it is outside the box. An axis along
+    which the segment does not move keeps every sample at p exactly.
+    """
+    t_lo, t_hi = 0.0, 1.0
+    for a in range(3):
+        if d[a] == 0.0:
+            if not lo[a] < p[a] < hi[a]:
+                return None
+            continue
+        t1 = (lo[a] - p[a]) / d[a]
+        t2 = (hi[a] - p[a]) / d[a]
+        pad = 8.0 * np.finfo(float).eps * (abs(p[a]) + abs(d[a]) + abs(lo[a]) + abs(hi[a]))
+        pad /= abs(d[a])
+        t_lo = max(t_lo, min(t1, t2) - pad)
+        t_hi = min(t_hi, max(t1, t2) + pad)
+        if t_lo > t_hi:
+            return None
+    # Sample i sits at t = (i + 1) / (n_samples + 1) up to rounding.
+    first = max(math.floor(t_lo * (n_samples + 1)) - 3, 0)
+    stop = min(math.ceil(t_hi * (n_samples + 1)) + 2, n_samples)
+    return (first, stop) if first < stop else None
+
+
 def sampled_blocked(env, p, q, n_samples: int = 10_000, inflate: float = 0.0) -> bool:
     """True when some interior sample point falls strictly inside a block.
 
     Blocks are inflated (or deflated, negative values) by ``inflate`` on
     every face before the strict-interior test. The candidate set is first
-    cut down by an axis-aligned bounding-box overlap check on the segment.
+    cut down by an axis-aligned bounding-box overlap check on the segment,
+    and each candidate is tested only at the samples of its slab window
+    (``_sample_window``), which holds every sample that can lie inside it.
+    The samples are the same points a scan of the whole segment evaluates.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -96,8 +129,12 @@ def sampled_blocked(env, p, q, n_samples: int = 10_000, inflate: float = 0.0) ->
     if cand.size == 0:
         return False
     ts = np.linspace(0.0, 1.0, n_samples + 2)[1:-1]
-    pts = p[None, :] + ts[:, None] * (q - p)[None, :]
+    d = q - p
     for b in cand:
+        window = _sample_window(p, d, mins[b], maxs[b], n_samples)
+        if window is None:
+            continue
+        pts = p[None, :] + ts[window[0]:window[1], None] * d[None, :]
         inside = np.all((pts > mins[b]) & (pts < maxs[b]), axis=1)
         if inside.any():
             return True

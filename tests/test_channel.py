@@ -1,4 +1,5 @@
-"""Propagation chain tests: path loss, Rician statistics, outage, coverage."""
+"""Propagation chain tests: path loss and Rician K read from ``link_budget``,
+outage, and the coverage verdict."""
 
 import math
 
@@ -12,14 +13,9 @@ from absmove import (
     ModelValidityWarning,
     coverage_mask,
     db_to_linear,
-    is_covered,
-    linear_to_db,
-    marcum_q1,
-    mean_gain,
+    is_los,
+    link_budget,
     outage_probability,
-    rician_k,
-    sample_rician_power,
-    snr,
 )
 
 import oracles
@@ -31,10 +27,26 @@ PL_LOS_500 = 106.89037996711195
 PL_NLOS_500 = 125.33634768273122
 
 
+def _receivers(*xs, alt=1.0):
+    """Receivers on the x axis at one altitude."""
+    return np.array([(x, 0.0, alt) for x in xs])
+
+
+def _path_loss_db(params, env, p, qs):
+    """Path loss in dB of each link, read back from the mean SNR."""
+    snr, _ = link_budget(params, env, p, np.atleast_2d(np.asarray(qs, dtype=float)))
+    return params.snr_gap_db - 10.0 * np.log10(snr)
+
+
+def _k(params, env, p, qs):
+    """Rician K of each link."""
+    return link_budget(params, env, p, np.atleast_2d(np.asarray(qs, dtype=float)))[1]
+
+
 class TestPathLoss:
     def test_los_hand_value(self, params, empty_env):
-        gain = mean_gain(params, empty_env, (0.0, 0.0, 90.0), (D2D_500, 0.0, 1.0))
-        assert math.isclose(-10.0 * math.log10(gain), PL_LOS_500, rel_tol=1e-12)
+        pl = _path_loss_db(params, empty_env, (0.0, 0.0, 90.0), (D2D_500, 0.0, 1.0))
+        assert math.isclose(pl[0], PL_LOS_500, rel_tol=1e-12)
 
     def test_nlos_hand_value(self, params):
         # A 60 m block straddles the midpoint of the same 500 m path.
@@ -43,12 +55,10 @@ class TestPathLoss:
             blocks=(BuildingBlock((246.0, 0.0), 10.0, 60.0),),
             seed=0,
         )
-        gain = mean_gain(params, env, (0.0, 0.0, 90.0), (D2D_500, 0.0, 1.0))
-        assert math.isclose(-10.0 * math.log10(gain), PL_NLOS_500, rel_tol=1e-12)
+        pl = _path_loss_db(params, env, (0.0, 0.0, 90.0), (D2D_500, 0.0, 1.0))
+        assert math.isclose(pl[0], PL_NLOS_500, rel_tol=1e-12)
 
     def test_matches_reference_formula_on_random_links(self, params, city_env):
-        from absmove import is_los
-
         rng = np.random.default_rng(21)
         for _ in range(50):
             p = rng.uniform((0, 0, 60), (500, 500, 120))
@@ -60,21 +70,24 @@ class TestPathLoss:
             expect = oracles.uma_path_loss_db(
                 d2d, d3d, p[2], q[2], params.carrier_ghz, is_los(city_env, p, q)
             )
-            gain = mean_gain(params, city_env, p, q)
-            assert math.isclose(-10.0 * math.log10(gain), expect, rel_tol=1e-12)
+            pl = _path_loss_db(params, city_env, p, q)
+            assert math.isclose(pl[0], expect, rel_tol=1e-12)
 
     def test_short_link_clamped_with_warning(self, params, empty_env):
         with pytest.warns(ModelValidityWarning):
-            gain = mean_gain(params, empty_env, (0.0, 0.0, 5.0), (3.0, 0.0, 1.0))
+            pl = _path_loss_db(params, empty_env, (0.0, 0.0, 5.0), (3.0, 0.0, 1.0))
         expect = oracles.uma_path_loss_db(3.0, 10.0, 5.0, 1.0, params.carrier_ghz, True)
-        assert math.isclose(-10.0 * math.log10(gain), expect, rel_tol=1e-12)
+        assert math.isclose(pl[0], expect, rel_tol=1e-12)
+
+    def test_clamp_warning_names_the_caller(self, params, empty_env):
+        with pytest.warns(ModelValidityWarning) as record:
+            coverage_mask(params, empty_env, (0.0, 0.0, 5.0), _receivers(3.0))
+        assert record[0].filename == __file__
 
     def test_gain_decreases_with_distance(self, params, empty_env):
-        gains = [
-            mean_gain(params, empty_env, (0.0, 0.0, 90.0), (x, 0.0, 1.0))
-            for x in (50.0, 100.0, 200.0, 400.0, 490.0)
-        ]
-        assert all(a > b for a, b in zip(gains, gains[1:]))
+        snr, _ = link_budget(params, empty_env, (0.0, 0.0, 90.0),
+                             _receivers(50.0, 100.0, 200.0, 400.0, 490.0))
+        assert np.all(np.diff(snr) < 0.0)
 
     def test_nlos_never_beats_los(self, params):
         blocked = Environment(
@@ -83,13 +96,15 @@ class TestPathLoss:
             seed=0,
         )
         clear = Environment(d1=600.0, d2=600.0, blocks=(), seed=0)
-        for x in (120.0, 300.0, 480.0):
-            g_clear = mean_gain(params, clear, (0.0, 0.0, 90.0), (x, 0.0, 1.0))
-            g_blocked = mean_gain(params, blocked, (0.0, 0.0, 90.0), (x, 0.0, 1.0))
+        xs = (120.0, 300.0, 480.0)
+        p = (0.0, 0.0, 90.0)
+        pl_clear = _path_loss_db(params, clear, p, _receivers(*xs))
+        pl_blocked = _path_loss_db(params, blocked, p, _receivers(*xs))
+        for x, a, b in zip(xs, pl_clear, pl_blocked):
             if x > 160.0:  # behind the block
-                assert g_blocked < g_clear
+                assert b > a
             else:
-                assert g_blocked == g_clear
+                assert b == a
 
 
 class TestRicianK:
@@ -97,72 +112,44 @@ class TestRicianK:
         assert params.a1 == pytest.approx(1.0, rel=1e-12)
         assert params.a2 == pytest.approx(math.log(1000.0) / (math.pi / 2.0), rel=1e-12)
 
-    def test_endpoint_straight_up(self, params):
-        k = rician_k(params, (0.0, 0.0, 90.0), (0.0, 0.0, 1.0))
-        assert k == pytest.approx(1000.0, rel=1e-9)
+    def test_endpoint_straight_up(self, params, empty_env):
+        k = _k(params, empty_env, (0.0, 0.0, 90.0), (0.0, 0.0, 1.0))
+        assert k[0] == pytest.approx(1000.0, rel=1e-9)
 
-    def test_endpoint_horizon(self, params):
-        k = rician_k(params, (0.0, 0.0, 90.0), (1e9, 0.0, 1.0))
-        assert k == pytest.approx(1.0, rel=1e-6)
+    def test_endpoint_horizon(self, params, empty_env):
+        k = _k(params, empty_env, (0.0, 0.0, 90.0), (1e9, 0.0, 1.0))
+        assert k[0] == pytest.approx(1.0, rel=1e-6)
 
-    def test_mid_angle_value(self, params):
+    def test_mid_angle_value(self, params, empty_env):
         # 45 degrees: dz == horizontal distance == 89 m.
-        k = rician_k(params, (0.0, 0.0, 90.0), (89.0, 0.0, 1.0))
-        assert k == pytest.approx(31.62277660168379, rel=1e-12)
+        k = _k(params, empty_env, (0.0, 0.0, 90.0), (89.0, 0.0, 1.0))
+        assert k[0] == pytest.approx(31.62277660168379, rel=1e-12)
 
-    def test_monotone_in_elevation(self, params):
-        ks = [
-            rician_k(params, (0.0, 0.0, 90.0), (x, 0.0, 1.0))
-            for x in (400.0, 200.0, 100.0, 50.0, 10.0)
-        ]
-        assert all(a < b for a, b in zip(ks, ks[1:]))
+    def test_monotone_in_elevation(self, params, empty_env):
+        k = _k(params, empty_env, (0.0, 0.0, 90.0), _receivers(400.0, 200.0, 100.0, 50.0, 10.0))
+        assert np.all(np.diff(k) > 0.0)
 
-    def test_transmitter_must_be_above(self, params):
-        with pytest.raises(ValueError):
-            rician_k(params, (0.0, 0.0, 1.0), (10.0, 0.0, 90.0))
+    def test_zero_on_blocked_links(self, params):
+        env = Environment(
+            d1=600.0, d2=600.0,
+            blocks=(BuildingBlock((150.0, 0.0), 10.0, 80.0),),
+            seed=0,
+        )
+        k = _k(params, env, (0.0, 0.0, 90.0), _receivers(120.0, 300.0))
+        assert k[0] > 0.0 and k[1] == 0.0
 
 
 class TestSnr:
-    def test_example_gap(self, params):
-        # 5 dBm transmit over -112 dBm noise and a -100 dB gain: 17 dB SNR.
-        assert params.snr_gap_db == pytest.approx(117.0)
-        val = snr(params, db_to_linear(-100.0))
-        assert linear_to_db(val) == pytest.approx(17.0, abs=1e-9)
+    def test_example_gap(self, params, empty_env):
+        # 5 dBm transmit over -112 dBm noise and the 500 m LoS hand value:
+        # 117 - 106.89 dB of mean SNR.
+        assert params.snr_gap_db == 117.0
+        snr, _ = link_budget(params, empty_env, (0.0, 0.0, 90.0), _receivers(D2D_500))
+        assert 10.0 * math.log10(snr[0]) == pytest.approx(117.0 - PL_LOS_500, abs=1e-9)
 
     def test_db_helpers_roundtrip(self):
-        for x in (1e-12, 0.5, 1.0, 42.0):
-            assert db_to_linear(linear_to_db(x)) == pytest.approx(x, rel=1e-12)
-
-
-class TestMarcumQ1:
-    def test_matches_chi_square_tail(self):
-        # a = sqrt(2 K) reaches 44.7 at the 30 dB K ceiling of the paper's model.
-        for a in (0.0, 0.3, 1.0, 2.0, 5.0, 8.0, 12.0, 20.0, 31.6, 44.7):
-            for b in (0.0, 0.2, 1.0, 2.5, 6.0, 10.0, 25.0, 30.0, 40.0, 44.0, 45.0, 50.0):
-                ref = oracles.marcum_q1(a, b)
-                assert marcum_q1(a, b) == pytest.approx(ref, abs=1e-12), (a, b)
-
-    def test_zero_a_closed_form(self):
-        for b in (0.1, 1.0, 3.0):
-            assert marcum_q1(0.0, b) == pytest.approx(math.exp(-b * b / 2.0), rel=1e-12)
-
-    def test_edge_values(self):
-        assert marcum_q1(2.0, 0.0) == 1.0
-        assert marcum_q1(2.0, np.inf) == 0.0
-
-    def test_vector_matches_scalar(self):
-        a = np.array([0.0, 1.0, 4.0, 4.0])
-        b = np.array([1.0, 1.0, 2.0, 9.0])
-        vec = marcum_q1(a, b)
-        assert vec.shape == (4,)
-        for i in range(4):
-            assert vec[i] == pytest.approx(marcum_q1(float(a[i]), float(b[i])), rel=1e-12)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            marcum_q1(-1.0, 2.0)
-        with pytest.raises(ValueError):
-            marcum_q1(1.0, -2.0)
+        for db in (-120.0, -3.0, 0.0, 16.23):
+            assert 10.0 * math.log10(db_to_linear(db)) == pytest.approx(db, abs=1e-12)
 
 
 class TestOutage:
@@ -213,7 +200,8 @@ class TestOutage:
 
 class TestCoverage:
     def test_under_abs_is_covered(self, params, empty_env):
-        assert is_covered(params, empty_env, (250.0, 250.0, 90.0), (250.0, 250.0, 1.0))
+        q = np.array([[250.0, 250.0, 1.0]])
+        assert coverage_mask(params, empty_env, (250.0, 250.0, 90.0), q)[0]
 
     def test_far_corner_behind_blocks_not_covered(self, params):
         env = Environment(
@@ -222,20 +210,21 @@ class TestCoverage:
             seed=0,
         )
         p = (0.0, 0.0, 90.0)
-        q = (989.9, 989.9, 1.0)  # about 1400 m away, behind the block
-        assert not is_covered(params, env, p, q)
+        q = np.array([[989.9, 989.9, 1.0]])  # about 1400 m away, behind the block
+        assert not coverage_mask(params, env, p, q)[0]
 
-    def test_mask_matches_scalar(self, params, city_env):
-        rng = np.random.default_rng(3)
-        p = np.array([250.0, 250.0, 90.0])
-        qs = np.column_stack([rng.uniform(0, 500, (40, 2)), np.full(40, 1.0)])
-        mask = coverage_mask(params, city_env, p, qs)
-        for i, q in enumerate(qs):
-            assert mask[i] == is_covered(params, city_env, p, q)
+    def test_no_receivers_gives_empty_mask(self, params, empty_env):
+        mask = coverage_mask(params, empty_env, (250.0, 250.0, 90.0), np.zeros((0, 3)))
+        assert mask.dtype == bool and mask.shape == (0,)
+
+    def test_mixed_receiver_altitudes_rejected(self, params, empty_env):
+        qs = np.array([[100.0, 100.0, 1.0], [200.0, 200.0, 2.0]])
+        with pytest.raises(ValueError, match="uniform receiver altitude"):
+            link_budget(params, empty_env, (250.0, 250.0, 90.0), qs)
+        with pytest.raises(ValueError, match="uniform receiver altitude"):
+            coverage_mask(params, empty_env, (250.0, 250.0, 90.0), qs)
 
     def test_full_chain_against_reference(self, params, city_env):
-        from absmove import is_los
-
         rng = np.random.default_rng(17)
         gamma = db_to_linear(params.snr_threshold_db)
         p = np.array([120.0, 380.0, 90.0])
@@ -271,18 +260,3 @@ class TestParamValidation:
             ChannelParams(outage_threshold=0.0)
         with pytest.raises(ValueError):
             ChannelParams(outage_threshold=1.5)
-
-
-class TestRicianSampler:
-    def test_unit_mean_power(self):
-        rng = np.random.default_rng(5)
-        for k in (0.0, 1.0, 10.0, 100.0):
-            power = sample_rician_power(k, rng, size=200_000)
-            assert power.mean() == pytest.approx(1.0, abs=0.01)
-
-    def test_k_zero_is_exponential(self):
-        rng = np.random.default_rng(6)
-        power = sample_rician_power(0.0, rng, size=200_000)
-        # Exponential(1): variance 1, P(X < 1) = 1 - 1/e.
-        assert power.var() == pytest.approx(1.0, abs=0.02)
-        assert np.mean(power < 1.0) == pytest.approx(1.0 - math.exp(-1.0), abs=0.005)

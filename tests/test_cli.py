@@ -298,6 +298,19 @@ class TestRun:
         assert (out / "summary.csv").exists()
         capsys.readouterr()
 
+    def test_tampered_cached_map_is_recorded_io_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "s.yaml")
+        out = tmp_path / "run"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+        (cached,) = (out / "gcm").glob("*.gcm")
+        raw = bytearray(cached.read_bytes())
+        raw[56] &= 0xFE  # cell 1 marked invalid, its row of bits left set
+        cached.write_bytes(bytes(raw))
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 3
+        failures = (out / "failures.csv").read_text().splitlines()
+        assert failures[1].split(",")[3:5] == ["GcmFormatError", "3"]
+        capsys.readouterr()
+
     def test_too_dense_environment_exits_2(self, tmp_path, capsys):
         # Footprint area fits on paper but random placement jams.
         cfg = write_cfg(

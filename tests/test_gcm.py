@@ -15,7 +15,7 @@ from absmove import (
     GridSpec,
     Plane,
     build_gcm,
-    is_covered,
+    coverage_mask,
     load_gcm,
     nearest_valid_abs_cell,
     save_gcm,
@@ -111,6 +111,12 @@ class TestGridIndexing:
             GridSpec(d1=500.0, d2=500.0, k1=0, k2=10, k1p=10, k2p=10, abs_alt=90.0)
         with pytest.raises(ValueError):
             GridSpec(d1=500.0, d2=500.0, k1=10, k2=10, k1p=10, k2p=10, abs_alt=0.0)
+        for field in ("d1", "d2", "abs_alt"):
+            for bad in (math.nan, math.inf):
+                kwargs = dict(d1=500.0, d2=500.0, k1=10, k2=10, k1p=10, k2p=10, abs_alt=90.0)
+                kwargs[field] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    GridSpec(**kwargs)
 
 
 class TestValidity:
@@ -170,7 +176,8 @@ class TestBuild:
             p = spec20.traversal.center(int(u))
             q = spec20.ground.center(int(v))
             q[2] = params.gu_alt
-            expect = city_gcm.abs_cell_valid[u - 1] and is_covered(params, city_env, p, q)
+            covered = coverage_mask(params, city_env, p, q[None, :])[0]
+            expect = city_gcm.abs_cell_valid[u - 1] and covered
             assert city_gcm.z[u - 1, v - 1] == expect, (u, v)
 
     def test_deterministic(self, city_env, params, spec20, city_gcm):
@@ -276,4 +283,25 @@ class TestBinaryFormat:
         raw[48:56] = struct.pack("<d", 1.5)  # eta is the fourth double
         path.write_bytes(bytes(raw))
         with pytest.raises(GcmFormatError):
+            load_gcm(path)
+
+    @pytest.mark.parametrize("offset,value", [(24, math.nan), (40, math.inf)],
+                             ids=["nan_d1", "inf_abs_alt"])
+    def test_non_finite_header_field(self, tmp_path, city_gcm, offset, value):
+        path = tmp_path / "map.gcm"
+        save_gcm(city_gcm, path)
+        raw = bytearray(path.read_bytes())
+        raw[offset:offset + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(GcmFormatError, match="finite"):
+            load_gcm(path)
+
+    def test_cleared_validity_bit_on_covering_row(self, tmp_path, city_gcm):
+        path = tmp_path / "map.gcm"
+        save_gcm(city_gcm, path)
+        raw = bytearray(path.read_bytes())
+        u = int(np.flatnonzero(city_gcm.abs_cell_valid & city_gcm.z.any(axis=1))[0])
+        raw[56 + u // 8] &= ~(1 << (u % 8)) & 0xFF  # validity bits follow the header
+        path.write_bytes(bytes(raw))
+        with pytest.raises(GcmFormatError, match="empty rows"):
             load_gcm(path)
