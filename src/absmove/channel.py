@@ -6,13 +6,16 @@ scale fading enters only through the outage probability of a Rician (LoS)
 or Rayleigh (NLoS) envelope, which is a noncentral chi-square CDF. The
 chain is written once: ``link_budget`` gives each link's mean SNR and K,
 ``outage_probability`` its outage, and ``coverage_mask`` the verdict.
+``branch_verdicts`` runs the same chain per distinct link length for both
+LoS bits, without a sightline test.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import chndtr
@@ -53,6 +56,9 @@ class ChannelParams:
     gu_alt: float = 1.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not (0.0 < self.outage_threshold <= 1.0):
             raise ValueError(f"outage_threshold must be in (0, 1], got {self.outage_threshold}")
         if self.carrier_ghz <= 0.0:
@@ -78,18 +84,28 @@ class ChannelParams:
         return self.tx_power_dbm - self.noise_dbm
 
 
-def _path_loss_db(params: ChannelParams, d2d, d3d, h_bs: float, h_ut: float, los):
-    """Median urban-macro path loss in dB for broadcastable distance arrays."""
+def _caller_stacklevel() -> int:
+    """Warning stack level of the first frame outside this module, counted
+    from the function that calls this one."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    return level
+
+
+def _path_loss_db(params: ChannelParams, d2d, d3d, h_bs: float, h_ut: float):
+    """Median urban-macro path loss in dB of the LoS and the NLoS branch, for
+    broadcastable distance arrays."""
     d3d = np.asarray(d3d, dtype=float)
     d2d = np.asarray(d2d, dtype=float)
     below = d3d < MIN_MODEL_DISTANCE
     if np.any(below):
-        # Attributed to the caller of coverage_mask, the chain's entry point.
+        # Attributed to the first caller outside this module.
         warnings.warn(
             f"{int(np.count_nonzero(below))} link(s) below the {MIN_MODEL_DISTANCE:.0f} m "
             "3D distance floor; clamped",
             ModelValidityWarning,
-            stacklevel=4,
+            stacklevel=_caller_stacklevel(),
         )
         d3d = np.maximum(d3d, MIN_MODEL_DISTANCE)
     fc = params.carrier_ghz
@@ -111,13 +127,10 @@ def _path_loss_db(params: ChannelParams, d2d, d3d, h_bs: float, h_ut: float, los
         - 9.0 * math.log10(d_bp**2 + (h_bs - h_ut) ** 2)
     )
     pl_los = np.where(d2d <= d_bp, pl1, pl2)
-    los = np.asarray(los, dtype=bool)
-    if los.all():
-        return pl_los
     pl_nlos = np.maximum(
         pl_los, 13.54 + 39.08 * log_d3d + 20.0 * log_fc - 0.6 * (h_ut - 1.5)
     )
-    return np.where(los, pl_los, pl_nlos)
+    return pl_los, pl_nlos
 
 
 def outage_probability(params: ChannelParams, snr_mean, k):
@@ -140,28 +153,56 @@ def outage_probability(params: ChannelParams, snr_mean, k):
     return float(p_out) if p_out.ndim == 0 else p_out
 
 
+def _link_geometry(p, qs):
+    """Horizontal length, vertical drop and both antenna heights of the links
+    from p to receivers that share one altitude."""
+    p = np.asarray(p, dtype=float)
+    qs = np.asarray(qs, dtype=float)
+    if np.ptp(qs[:, 2]) != 0.0:
+        raise ValueError("links need a uniform receiver altitude")
+    d2d = np.hypot(qs[:, 0] - p[0], qs[:, 1] - p[1])
+    dz = p[2] - qs[:, 2]
+    return d2d, dz, float(p[2]), float(qs[0, 2])
+
+
+def _branch_budgets(params: ChannelParams, d2d, dz, h_bs: float, h_ut: float):
+    """Mean SNR of each link with LoS and without, and its LoS Rician K, all
+    linear; K is zero without LoS."""
+    d3d = np.sqrt(d2d * d2d + dz * dz)
+    pl_los, pl_nlos = _path_loss_db(params, d2d, d3d, h_bs, h_ut)
+    snr_los = 10.0 ** ((params.snr_gap_db - pl_los) / 10.0)
+    snr_nlos = 10.0 ** ((params.snr_gap_db - pl_nlos) / 10.0)
+    k_los = params.a1 * np.exp(params.a2 * np.arctan2(dz, d2d))
+    return snr_los, snr_nlos, k_los
+
+
 def link_budget(params: ChannelParams, env: Environment, p, qs):
     """Mean SNR and Rician K (both linear) from one transmitter to many points.
 
     Chain per link: LoS geometry -> branch path loss -> mean SNR -> angular
     K factor, zero on blocked links. Receivers share one altitude.
     """
-    p = np.asarray(p, dtype=float)
-    qs = np.asarray(qs, dtype=float)
-    if np.ptp(qs[:, 2]) != 0.0:
-        raise ValueError("link_budget expects a uniform receiver altitude")
-    blocked = los_blocked_mask(env, p, qs)
-    dx = qs[:, 0] - p[0]
-    dy = qs[:, 1] - p[1]
-    dz = p[2] - qs[:, 2]
-    d2d = np.hypot(dx, dy)
-    d3d = np.sqrt(d2d * d2d + dz * dz)
-    los = ~blocked
-    pl = _path_loss_db(params, d2d, d3d, float(p[2]), float(qs[0, 2]), los)
-    snr_v = 10.0 ** ((params.snr_gap_db - pl) / 10.0)
-    theta = np.arctan2(dz, d2d)
-    k_v = np.where(los, params.a1 * np.exp(params.a2 * theta), 0.0)
-    return snr_v, k_v
+    geometry = _link_geometry(p, qs)
+    los = ~los_blocked_mask(env, p, qs)
+    snr_los, snr_nlos, k_los = _branch_budgets(params, *geometry)
+    return np.where(los, snr_los, snr_nlos), np.where(los, k_los, 0.0)
+
+
+def branch_verdicts(params: ChannelParams, p, qs):
+    """Coverage of each link from p were it in LoS, and were it not; two (n,)
+    bool arrays.
+
+    Both altitudes are fixed, so a verdict depends only on the link's
+    horizontal length and LoS bit: the chain runs once per distinct length.
+    """
+    d2d, dz, h_bs, h_ut = _link_geometry(p, qs)
+    dist, first, inverse = np.unique(d2d, return_index=True, return_inverse=True)
+    snr_los, snr_nlos, k_los = _branch_budgets(params, dist, dz[first], h_bs, h_ut)
+    p_out = outage_probability(
+        params, np.concatenate([snr_los, snr_nlos]), np.concatenate([k_los, np.zeros_like(k_los)])
+    )
+    covered = p_out < params.outage_threshold
+    return covered[: dist.size][inverse], covered[dist.size :][inverse]
 
 
 def coverage_mask(params: ChannelParams, env: Environment, p, qs) -> np.ndarray:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelParams, coverage_mask
+from .channel import ChannelParams, branch_verdicts, coverage_mask
 from .env import Environment, obstructed_mask
 from .errors import ConfigError, GcmFormatError
 
@@ -67,9 +67,9 @@ class Plane:
     def cells_of(self, xys) -> np.ndarray:
         """Ids of the cells containing (x, y) points, one per row of ``xys``."""
         xys = np.atleast_2d(np.asarray(xys, dtype=float))
-        if np.any(xys[:, 0] < 0) or np.any(xys[:, 0] > self.d1) or np.any(
-            xys[:, 1] < 0
-        ) or np.any(xys[:, 1] > self.d2):
+        # Written as "inside" tests, so NaN coordinates fail them too.
+        x, y = xys[:, 0], xys[:, 1]
+        if not np.all((x >= 0) & (x <= self.d1) & (y >= 0) & (y <= self.d2)):
             raise ValueError("position outside the area")
         # Points on the far boundary fold into the last cell.
         i = np.minimum((xys[:, 0] * self.k1 / self.d1).astype(int), self.k1 - 1)
@@ -173,7 +173,9 @@ def build_gcm(env: Environment, params: ChannelParams, spec: GridSpec) -> Gcm:
     """Evaluate the full channel chain between all cell-center pairs.
 
     Ground cells are evaluated at the receiver altitude from ``params``; the
-    z = 0 coordinate of a ground cell is only a plane label.
+    z = 0 coordinate of a ground cell is only a plane label. Per traversal
+    row, each link takes its NLoS verdict, and ``coverage_mask`` (sightline
+    test included) decides the band of links whose LoS verdict differs.
     """
     if (env.d1, env.d2) != (spec.d1, spec.d2):
         raise ConfigError(
@@ -190,7 +192,11 @@ def build_gcm(env: Environment, params: ChannelParams, spec: GridSpec) -> Gcm:
     centers = spec.traversal.centers
     z = np.zeros((spec.traversal.size, spec.ground.size), dtype=bool)
     for t in np.flatnonzero(valid):
-        z[t] = coverage_mask(params, env, centers[t], eval_points)
+        covered_los, covered_nlos = branch_verdicts(params, centers[t], eval_points)
+        # Only where the two verdicts differ does the LoS bit decide.
+        band = covered_los != covered_nlos
+        covered_nlos[band] = coverage_mask(params, env, centers[t], eval_points[band])
+        z[t] = covered_nlos
     return Gcm(spec=spec, z=z, abs_cell_valid=valid, eta=params.outage_threshold)
 
 

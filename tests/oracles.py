@@ -5,6 +5,9 @@ formulas and first principles, avoiding the package's own code paths: path
 loss as literal scalar arithmetic, Marcum Q through the noncentral chi-square
 tail, line of sight by dense segment sampling, and the optimizers by plain
 enumeration or an LP solver. Tests compare package outputs against these.
+Two references instead keep a simpler form of a package routine: the fixing
+pass as a literal column walk, and the map build as the full chain on every
+link.
 """
 
 from __future__ import annotations
@@ -149,6 +152,26 @@ def sampled_blocked_robust(env, p, q, n_samples: int = 10_000,
     if hi != lo:
         return None
     return hi
+
+
+# ---------------------------------------------------------------------------
+# Connectivity map by the full chain
+
+
+def full_chain_gcm(env, params, spec):
+    """The map with every link through ``coverage_mask``: one call per valid
+    traversal row, over all ground cells, sightline test included."""
+    from absmove.channel import coverage_mask
+    from absmove.gcm import Gcm, valid_abs_cells
+
+    valid = valid_abs_cells(env, spec)
+    eval_points = spec.ground.centers.copy()
+    eval_points[:, 2] = params.gu_alt
+    centers = spec.traversal.centers
+    z = np.zeros((spec.traversal.size, spec.ground.size), dtype=bool)
+    for t in np.flatnonzero(valid):
+        z[t] = coverage_mask(params, env, centers[t], eval_points)
+    return Gcm(spec=spec, z=z, abs_cell_valid=valid, eta=params.outage_threshold)
 
 
 # ---------------------------------------------------------------------------

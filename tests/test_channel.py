@@ -17,6 +17,7 @@ from absmove import (
     link_budget,
     outage_probability,
 )
+from absmove.channel import branch_verdicts
 
 import oracles
 
@@ -245,6 +246,20 @@ class TestCoverage:
             p_out = oracles.outage(k, gamma / s)
             assert mask[i] == (p_out < params.outage_threshold), (i, p_out)
 
+    def test_branch_verdicts_match_the_chain(self, params, empty_env):
+        # Receivers under a roof-high slab have no LoS; on open ground all do.
+        rng = np.random.default_rng(23)
+        p = np.array([250.0, 250.0, 90.0])
+        qs = np.column_stack([rng.uniform(0, 500, (80, 2)), np.full(80, 1.0)])
+        qs[:5] = [[250.0, 250.0, 1.0], [260.0, 250.0, 1.0], [240.0, 250.0, 1.0],
+                  [250.0, 260.0, 1.0], [250.0, 240.0, 1.0]]  # repeated lengths
+        slab = Environment(d1=500.0, d2=500.0, seed=0,
+                           blocks=(BuildingBlock((250.0, 250.0), 250.0, 80.0),))
+        covered_los, covered_nlos = branch_verdicts(params, p, qs)
+        assert np.array_equal(covered_los, coverage_mask(params, empty_env, p, qs))
+        assert np.array_equal(covered_nlos, coverage_mask(params, slab, p, qs))
+        assert (covered_los != covered_nlos).any()
+
     def test_threshold_one_covers_everything_visible(self, empty_env):
         params = ChannelParams(outage_threshold=1.0)
         rng = np.random.default_rng(8)
@@ -260,3 +275,12 @@ class TestParamValidation:
             ChannelParams(outage_threshold=0.0)
         with pytest.raises(ValueError):
             ChannelParams(outage_threshold=1.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [
+        "tx_power_dbm", "noise_dbm", "carrier_ghz", "k_min_db", "k_max_db",
+        "snr_threshold_db", "outage_threshold", "abs_alt", "gu_alt",
+    ])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ChannelParams(**{field: value})

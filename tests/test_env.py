@@ -1,5 +1,7 @@
 """Environment generation, line of sight, and exclusion-zone tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from absmove import (
     los_blocked_mask,
     obstructed_mask,
 )
+from absmove.env import _azimuth_pairs, _blocked_by_pairs, _box_pairs
 
 from oracles import sampled_blocked, sampled_blocked_robust
 
@@ -160,6 +163,167 @@ class TestLineOfSight:
         p0, qs0 = p.copy(), qs.copy()
         los_blocked_mask(city_env, p, qs)
         assert np.array_equal(p, p0) and np.array_equal(qs, qs0)
+
+
+def both_paths(env: Environment, p, qs) -> np.ndarray:
+    """Blocked mask from the dense and from the azimuth candidates, which
+    must agree; the size switch in los_blocked_mask is bypassed."""
+    p = np.asarray(p, dtype=float)
+    qs = np.atleast_2d(np.asarray(qs, dtype=float))
+    mins, maxs = env._box_bounds
+    dense = _blocked_by_pairs(p, qs, mins, maxs, *_box_pairs(p, qs, mins, maxs))
+    gather = _blocked_by_pairs(p, qs, mins, maxs, *_azimuth_pairs(p, qs, mins, maxs))
+    assert np.array_equal(dense, gather), np.flatnonzero(dense != gather)
+    return dense
+
+
+class TestCandidatePaths:
+    """The azimuth gather and the dense bounding-box candidates give the same
+    exact verdicts, including on every boundary case of the gather."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_scenes_agree_with_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        env = generate_environment(400.0, 400.0, 40, 25.0, (20.0, 100.0), seed=seed)
+        block = env.blocks[0]
+        corner = np.add(block.center_xy, block.half_width)
+        edge = np.add(block.center_xy, (block.half_width, 0.0))
+        for xy in (rng.uniform(0, 400, 2), corner, edge, block.center_xy):
+            p = np.array([*xy, rng.uniform(40.0, 120.0)])
+            qs = np.column_stack([rng.uniform(0, 400, (300, 2)), np.full(300, 1.5)])
+            qs[:10, 0] = p[0]  # axis-parallel
+            qs[10:20, 1] = p[1]
+            qs[20, :2] = p[:2]  # vertical
+            mask = both_paths(env, p, qs)
+            assert np.array_equal(mask, los_blocked_mask(env, p, qs))
+            for i in range(0, 300, 15):
+                verdict = sampled_blocked_robust(env, p, qs[i])
+                if verdict is not None:
+                    assert mask[i] == verdict, (p, qs[i])
+
+    @pytest.mark.parametrize("p, q, blocked", [
+        ((0.0, 50.0, 50.0), (100.0, 50.0, 50.0), False),  # along the roof face
+        ((40.0, 0.0, 10.0), (40.0, 100.0, 10.0), False),  # along a side face
+        ((0.0, 40.0, 50.0), (100.0, 40.0, 50.0), False),  # along a roof edge
+        ((0.0, 80.0, 10.0), (80.0, 0.0, 10.0), False),  # touches a vertical edge
+        ((20.0, 20.0, 30.0), (60.0, 60.0, 70.0), False),  # touches a roof corner
+        ((0.0, 0.0, 90.0), (40.0, 40.0, 50.0), False),  # ends on a roof corner
+        ((0.0, 0.0, 90.0), (80.0, 80.0, 10.0), True),  # in through a roof corner
+        ((0.0, 100.0, 10.0), (100.0, 0.0, 10.0), True),  # across the footprint
+        ((0.0, 50.0, 49.999), (100.0, 50.0, 49.999), True),  # just under the roof
+    ])
+    def test_face_edge_and_corner_grazes(self, p, q, blocked):
+        env = one_block_env()  # box [40, 60] x [40, 60] x [0, 50]
+        assert both_paths(env, p, [q]).tolist() == [blocked]
+        assert both_paths(env, q, [p]).tolist() == [blocked]
+
+    @pytest.mark.parametrize("xy", [(50.0, 50.0), (40.0, 50.0), (60.0, 60.0), (40.0, 40.0)])
+    def test_abs_above_block(self, xy):
+        # p over the footprint, on an edge, or on a corner of it.
+        env = one_block_env(height=50.0)
+        p = (*xy, 90.0)
+        qs = np.array([
+            (*xy, 1.0),  # straight down
+            (50.0, 50.0, 1.0),  # into the footprint centre
+            (45.0, 55.0, 1.0),
+            (100.0, 50.0, 1.0),  # leaves over the roof
+            (0.0, 0.0, 1.0),
+            (-50.0, 50.0, 1.0),
+        ])
+        inside = (40.0 < xy[0] < 60.0) and (40.0 < xy[1] < 60.0)
+        mask = both_paths(env, p, qs)
+        assert mask.tolist()[:3] == [inside, True, True]
+        assert not mask[3:].any()
+        for q, blocked in zip(qs, mask):
+            verdict = sampled_blocked_robust(env, p, q)
+            assert verdict is None or verdict == blocked, q
+
+    @pytest.mark.parametrize("p, q, blocked", [
+        ((50.0, 0.0, 25.0), (50.0, 100.0, 25.0), True),
+        ((50.0, 0.0, 25.0), (50.0, 30.0, 25.0), False),  # stops short
+        ((50.0, 0.0, 25.0), (50.0, 100.0, 60.0), True),  # constant x only
+        ((40.0, 0.0, 25.0), (40.0, 100.0, 25.0), False),  # in a face plane
+        ((60.0, 0.0, 25.0), (60.0, 100.0, 25.0), False),
+        ((0.0, 0.0, 25.0), (100.0, 0.0, 25.0), False),  # beside the block
+        ((0.0, 50.0, 49.0), (100.0, 50.0, 49.0), True),
+        ((0.0, 50.0, 60.0), (100.0, 50.0, 60.0), False),  # over the roof
+    ])
+    def test_axis_parallel_links(self, p, q, blocked):
+        env = one_block_env()
+        assert both_paths(env, p, [q]).tolist() == [blocked]
+        assert both_paths(env, q, [p]).tolist() == [blocked]
+
+    def test_vertical_links(self):
+        env = one_block_env(height=50.0)
+        qs = [(50.0, 50.0, 1.0), (40.0, 50.0, 1.0), (40.0, 40.0, 1.0), (20.0, 20.0, 1.0)]
+        tops = [(50.0, 50.0, 90.0), (40.0, 50.0, 90.0), (40.0, 40.0, 90.0), (20.0, 20.0, 90.0)]
+        got = [both_paths(env, p, [q])[0] for p, q in zip(tops, qs)]
+        assert got == [True, False, False, False]
+
+    def test_blocks_across_the_seam(self):
+        # Seen from p, these blocks straddle the +-pi azimuth (the -x ray),
+        # or touch it from one side.
+        blocks = (
+            BuildingBlock((20.0, 50.0), 10.0, 60.0),  # straddles the seam
+            BuildingBlock((-20.0, 35.0), 5.0, 60.0),  # just below it
+            BuildingBlock((-20.0, 65.0), 5.0, 60.0),  # just above it
+            BuildingBlock((50.0, 80.0), 5.0, 60.0),  # away from it
+        )
+        env = Environment(d1=200.0, d2=200.0, blocks=blocks, seed=0)
+        p = (50.0, 50.0, 90.0)
+        ys = np.linspace(0.0, 100.0, 201)
+        qs = np.column_stack([np.full(ys.size, -40.0), ys, np.full(ys.size, 1.0)])
+        mask = both_paths(env, p, qs)
+        assert mask[ys == 50.0].tolist() == [True]  # through the straddling block
+        for q, blocked in zip(qs[::10], mask[::10]):
+            verdict = sampled_blocked_robust(env, p, q)
+            assert verdict is None or verdict == blocked, q
+        # A seam-touching footprint: its bottom edge lies on p's y.
+        touch = Environment(d1=200.0, d2=200.0, seed=0,
+                            blocks=(BuildingBlock((20.0, 60.0), 10.0, 60.0),))
+        got = both_paths(touch, p, [(-40.0, 50.0, 1.0), (-40.0, 50.5, 1.0),
+                                    (-40.0, 49.5, 1.0)])
+        assert got.tolist() == [False, True, False]
+
+    def test_links_ending_at_the_nearest_distance(self):
+        env = one_block_env(height=50.0)
+        # Nearest footprint point is on a face, then at a corner.
+        for p, q_at, q_past in (
+            ((0.0, 50.0, 90.0), (40.0, 50.0, 1.0), (40.001, 50.0, 1.0)),
+            ((0.0, 0.0, 90.0), (40.0, 40.0, 1.0), (40.001, 40.001, 1.0)),
+        ):
+            assert both_paths(env, p, [q_at, q_past]).tolist() == [False, True]
+            short = np.subtract(q_at, (1e-9, 0.0, 0.0))
+            assert both_paths(env, p, [short]).tolist() == [False]
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_sightline_endpoints_rejected(self, city_env, bad):
+        qs = np.array([[100.0, 100.0, 1.0], [200.0, 200.0, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            los_blocked_mask(city_env, (bad, 0.0, 90.0), qs)
+        qs[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            los_blocked_mask(city_env, (0.0, 0.0, 90.0), qs)
+        with pytest.raises(ValueError, match="finite"):
+            is_los(city_env, (0.0, 0.0, 90.0), (bad, 1.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["x", "y", "half_width", "height"])
+    def test_block_geometry_rejected(self, field, bad):
+        kwargs = {"x": 0.0, "y": 0.0, "half_width": 5.0, "height": 10.0}
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            BuildingBlock((kwargs["x"], kwargs["y"]), kwargs["half_width"], kwargs["height"])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["d1", "d2"])
+    def test_area_rejected(self, field, bad):
+        kwargs = {"d1": 10.0, "d2": 10.0, "blocks": (), "seed": 0}
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Environment(**kwargs)
 
 
 class TestObstruction:

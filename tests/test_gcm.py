@@ -13,14 +13,20 @@ from absmove import (
     Environment,
     GcmFormatError,
     GridSpec,
+    ModelValidityWarning,
     Plane,
     build_gcm,
     coverage_mask,
+    generate_environment,
     load_gcm,
     nearest_valid_abs_cell,
     save_gcm,
     valid_abs_cells,
 )
+from absmove import env as env_module
+from absmove import gcm as gcm_module
+
+import oracles
 
 
 def _cell_of(plane: Plane, xy) -> int:
@@ -100,7 +106,8 @@ class TestGridIndexing:
             assert _cell_of(plane, (0.0, 0.0)) == 1
             assert np.array_equal(plane.cells_of([(500.0, 0.0), (0.0, 500.0)]),
                                   [plane.size - plane.k2 + 1, plane.k2])
-            for bad in ((-1e-9, 10.0), (10.0, 500.0 + 1e-9)):
+            for bad in ((-1e-9, 10.0), (10.0, 500.0 + 1e-9), (math.nan, 1.0),
+                        (1.0, math.nan), (math.inf, 1.0)):
                 with pytest.raises(ValueError, match="outside the area"):
                     plane.cells_of(bad)
 
@@ -215,6 +222,13 @@ class TestBuild:
         assert row.any() and not row.all()
         assert d[row].max() <= d[~row].min() + 1e-9
 
+    def test_clamped_links_warn_from_the_build(self):
+        spec = GridSpec(d1=100.0, d2=100.0, k1=4, k2=4, k1p=4, k2p=4, abs_alt=5.0)
+        env = Environment(d1=100.0, d2=100.0, blocks=(), seed=0)
+        with pytest.warns(ModelValidityWarning) as record:
+            build_gcm(env, ChannelParams(abs_alt=5.0, gu_alt=1.0), spec)
+        assert {r.filename for r in record} == {gcm_module.__file__}
+
     def test_mismatched_area_rejected(self, params, spec20):
         env = Environment(d1=400.0, d2=500.0, blocks=(), seed=0)
         with pytest.raises(ConfigError):
@@ -223,6 +237,45 @@ class TestBuild:
     def test_mismatched_altitude_rejected(self, empty_env, spec20):
         with pytest.raises(ConfigError):
             build_gcm(empty_env, ChannelParams(abs_alt=120.0), spec20)
+
+
+def _scene(d: float, k: int, num_blocks: int, seed: int = 0, **channel):
+    env = generate_environment(d, d, num_blocks, 25.0, (30.0, 89.0), seed=seed)
+    params = ChannelParams(**channel)
+    return env, params, GridSpec(d1=d, d2=d, k1=k, k2=k, k1p=k, k2p=k, abs_alt=params.abs_alt)
+
+
+def _file_bytes(gcm, path) -> bytes:
+    save_gcm(gcm, path)
+    return path.read_bytes()
+
+
+class TestAgainstFullChain:
+    """The band build writes the same file as the full chain on every link."""
+
+    @pytest.mark.parametrize("scene", [
+        pytest.param((500.0, 20, 75, {"tx_power_dbm": -7.0}), id="family"),
+        pytest.param((500.0, 40, 75, {"tx_power_dbm": -7.0}), id="acceptance-12.5m"),
+        pytest.param((1000.0, 20, 300, {}), id="city-20x20"),
+        pytest.param((500.0, 20, 75, {"outage_threshold": 0.5}), id="eta-0.5"),
+        pytest.param((500.0, 20, 75, {"outage_threshold": 0.9}), id="eta-0.9"),
+        pytest.param((500.0, 20, 75, {"gu_alt": 1.5}), id="breakpoint-above-0"),
+        pytest.param((500.0, 20, 75, {"k_min_db": 12.0, "k_max_db": 12.0}), id="flat-k"),
+    ])
+    def test_byte_identical_file(self, tmp_path, scene):
+        d, k, num_blocks, channel = scene
+        env, params, spec = _scene(d, k, num_blocks, **channel)
+        fast = _file_bytes(build_gcm(env, params, spec), tmp_path / "band.gcm")
+        full = _file_bytes(oracles.full_chain_gcm(env, params, spec), tmp_path / "full.gcm")
+        assert fast == full
+
+    def test_dense_candidates_give_the_same_file(self, tmp_path, monkeypatch):
+        # Every sightline query of the reference takes the dense path.
+        env, params, spec = _scene(500.0, 20, 75, seed=3, tx_power_dbm=-7.0)
+        fast = _file_bytes(build_gcm(env, params, spec), tmp_path / "band.gcm")
+        monkeypatch.setattr(env_module, "_DENSE_PAIRS", 1 << 62)
+        full = _file_bytes(oracles.full_chain_gcm(env, params, spec), tmp_path / "full.gcm")
+        assert fast == full
 
 
 class TestBinaryFormat:
