@@ -60,17 +60,21 @@ def random_instance(seed: int, n_abs: int = 2, n_cells: int = 8, n_grids: int = 
     """A small random placement instance plus the pieces it was built from.
 
     Returns (gcm, pools, gu_positions, instance). Pools always have at least
-    n_abs + 1 cells so distinct assignments exist.
+    n_abs + 1 cells so distinct assignments exist. The ground plane is 3x3,
+    or the smallest square that holds n_grids grids.
     """
     rng = np.random.default_rng(seed)
     k = 4
     while k * k < n_cells:
         k += 1
-    spec = GridSpec(d1=100.0, d2=100.0, k1=k, k2=k, k1p=3, k2p=3, abs_alt=90.0)
+    kp = 3
+    while kp * kp < n_grids:
+        kp += 1
+    spec = GridSpec(d1=100.0, d2=100.0, k1=k, k2=k, k1p=kp, k2p=kp, abs_alt=90.0)
     n_total = spec.k1 * spec.k2
-    z = np.zeros((n_total, 9), dtype=bool)
+    z = np.zeros((n_total, kp * kp), dtype=bool)
     cells = rng.choice(n_total, size=n_cells, replace=False) + 1
-    grids = rng.choice(9, size=min(n_grids, 9), replace=False) + 1
+    grids = rng.choice(kp * kp, size=n_grids, replace=False) + 1
     for u in cells:
         for v in grids:
             if rng.random() < density:

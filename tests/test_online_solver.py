@@ -9,10 +9,15 @@ from absmove import (
     GridSpec,
     InfeasibleSetError,
     assemble,
+    build_gcm,
     decode_and_repair,
     dual_objective,
     evaluate_placement,
+    feasible_sets,
     gap_bound,
+    generate_environment,
+    merge_config,
+    parse_trial_config,
     solve,
 )
 
@@ -254,3 +259,190 @@ class TestGreedyPass:
             assert len(seen) == len(want_y) == inst.n_cols
             for got, want in zip(seen, want_y):
                 assert np.array_equal(got, want * alpha / inst.n_cols), f"seed {seed}"
+
+
+class FixedOrder:
+    """Stands in for the pass's generator and hands out a chosen visit order."""
+
+    def __init__(self, order):
+        self.order = np.asarray(order, dtype=np.int64)
+
+    def permutation(self, n):
+        assert n == len(self.order)
+        return self.order.copy()
+
+
+def assert_matches_walk(inst, order, iterates=True):
+    """Run the pass on a fixed order and compare it with the column walk:
+    x always, and every iterate y when asked. Returns x."""
+    seen = []
+
+    def record(instance, y):
+        seen.append(np.array(y, copy=True))
+        return 0.0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(online_solver, "dual_objective", record)
+        x, _ = online_solver._greedy_pass(inst, FixedOrder(order), iterates)
+    want_x, want_y = oracles.integer_csc_walk(inst, order)
+    assert np.array_equal(x, want_x)
+    if iterates:
+        alpha = 1.0 / math.sqrt(inst.n_cols)
+        assert len(seen) == len(want_y) == inst.n_cols
+        for q, (got, want) in enumerate(zip(seen, want_y)):
+            assert np.array_equal(got, want * alpha / inst.n_cols), f"iterate {q}"
+    return x
+
+
+def priced_windows(inst, order, x, width):
+    """(start, stop, take position or None) of every window the event pass
+    prices on this order, given the pass's x."""
+    takes = iter([p for p, j in enumerate(order) if j >= inst.n_v and x[j]])
+    nxt, s, out = next(takes, None), 0, []
+    while s < inst.n_cols:
+        stop = min(s + width, inst.n_cols)
+        if nxt is not None and nxt < stop:
+            out.append((s, stop, nxt))
+            s, nxt = nxt + 1, next(takes, None)
+        else:
+            out.append((s, stop, None))
+            s = stop
+    return out
+
+
+def crosses_window(inst, order, x, width):
+    """Whether some segment between takes runs past one window."""
+    return any(stop - s == width and take is None
+               for s, stop, take in priced_windows(inst, order, x, width)[:-1])
+
+
+@pytest.fixture(scope="module")
+def family_scene():
+    """The acceptance family's scene at seed 0: 500 m, 20x20 grids, 75 blocks."""
+    cfg = merge_config({
+        "area": {"d1": 500.0, "d2": 500.0},
+        "grid": {"k1": 20, "k2": 20, "k1p": 20, "k2p": 20},
+        "environment": {"num_blocks": 75},
+        "channel": {"tx_power_dbm": -7.0},
+        "fleet": {"n_abs": 2, "n_gus": 20},
+    })
+    tc = parse_trial_config(cfg, seed=0)
+    env = generate_environment(
+        tc.spec.d1, tc.spec.d2, tc.env.num_blocks, tc.env.block_width,
+        (tc.env.height_low, tc.env.height_high), tc.env_seed,
+    )
+    return tc, build_gcm(env, tc.channel, tc.spec)
+
+
+class TestEventPass:
+    """The event pass against the column walk beyond one lookahead window."""
+
+    def test_family_scene_snapshots(self, family_scene):
+        tc, gcm = family_scene
+        spec = gcm.spec
+        valid = np.flatnonzero(gcm.abs_cell_valid) + 1
+        width = online_solver._LOOKAHEAD
+        crossed = 0
+        for snap in range(6):
+            rng = np.random.default_rng([7, snap])
+            anchors = rng.choice(valid, size=tc.n_abs, replace=False)
+            pools = feasible_sets(spec.traversal.centers[anchors - 1, :2], spec,
+                                  gcm.abs_cell_valid, tc.movement_radius)
+            gu = rng.uniform(0.0, [spec.d1, spec.d2], size=(tc.n_gus, 2))
+            inst = assemble(gcm, pools, gu)
+            assert inst.n_cols > 2 * width
+            for k in range(4):
+                order = rng.permutation(inst.n_cols)
+                x = assert_matches_walk(inst, order, iterates=k == 0)
+                crossed += crosses_window(inst, order, x, width)
+        assert crossed >= 5
+
+    @pytest.mark.parametrize("lookahead", [1, 5, 32, None])
+    def test_fuzz_up_to_a_hundred_cells(self, lookahead):
+        crossed = 0
+        with pytest.MonkeyPatch.context() as mp:
+            if lookahead is not None:
+                mp.setattr(online_solver, "_LOOKAHEAD", lookahead)
+            width = online_solver._LOOKAHEAD
+            for seed in range(24):
+                n_abs = 1 + seed % 4
+                _, _, _, inst = random_instance(
+                    seed + 300, n_abs=n_abs, n_cells=n_abs + 1 + 4 * seed,
+                    n_grids=4 + 3 * seed, n_gus=5 + 4 * seed,
+                    density=0.02 + 0.04 * (seed % 6), shared_pools=bool(seed & 1),
+                )
+                order = np.random.default_rng([seed, 1]).permutation(inst.n_cols)
+                x = assert_matches_walk(inst, order, iterates=seed % 3 == 0)
+                crossed += crosses_window(inst, order, x, width)
+        # At the full window these instances fit in one or two windows; the
+        # family scene test crosses it.
+        assert lookahead is None or crossed >= 3
+
+    @staticmethod
+    def mid_instance(n_abs=3):
+        return random_instance(11, n_abs=n_abs, n_cells=70, n_grids=40, n_gus=60,
+                               density=0.08)[3]
+
+    @pytest.mark.parametrize("lookahead", [4, None])
+    @pytest.mark.parametrize("c_first", [True, False])
+    def test_one_kind_of_column_first(self, lookahead, c_first):
+        inst = self.mid_instance()
+        rng = np.random.default_rng(3)
+        c_cols = rng.permutation(inst.n_v)
+        a_cols = inst.n_v + rng.permutation(inst.n_u)
+        order = np.concatenate([c_cols, a_cols] if c_first else [a_cols, c_cols])
+        with pytest.MonkeyPatch.context() as mp:
+            if lookahead is not None:
+                mp.setattr(online_solver, "_LOOKAHEAD", lookahead)
+            assert_matches_walk(inst, order)
+
+    def test_pass_that_takes_nothing(self):
+        # One ABS with one cell, visited first: its price is 0, so it is
+        # left out, and every later column is a C column.
+        spec = GridSpec(d1=100.0, d2=100.0, k1=4, k2=4, k1p=12, k2p=12, abs_alt=90.0)
+        z = np.zeros((16, 144), dtype=bool)
+        z[5, ::3] = True
+        gcm = synth_gcm(spec, z)
+        gu = spec.ground.centers[:140, :2]
+        inst = assemble(gcm, (np.array([6], dtype=np.int64),), gu)
+        assert inst.n_v > online_solver._LOOKAHEAD
+        order = np.concatenate([[inst.n_v], np.arange(inst.n_v)])
+        x = assert_matches_walk(inst, order)
+        assert x[inst.n_v:].sum() == 0 and x[:inst.n_v].all()
+
+    @pytest.mark.parametrize("lookahead", [3, None])
+    def test_single_abs(self, lookahead):
+        inst = self.mid_instance(n_abs=1)
+        with pytest.MonkeyPatch.context() as mp:
+            if lookahead is not None:
+                mp.setattr(online_solver, "_LOOKAHEAD", lookahead)
+            for seed in range(4):
+                assert_matches_walk(inst, np.random.default_rng([seed, 2]).permutation(inst.n_cols))
+
+    @pytest.mark.parametrize("lookahead", [16, None])
+    def test_take_in_last_partial_window(self, lookahead):
+        inst = self.mid_instance()
+        with pytest.MonkeyPatch.context() as mp:
+            if lookahead is not None:
+                mp.setattr(online_solver, "_LOOKAHEAD", lookahead)
+            width = online_solver._LOOKAHEAD
+            for seed in range(200):
+                order = np.random.default_rng([seed, 3]).permutation(inst.n_cols)
+                x, _ = oracles.integer_csc_walk(inst, order)
+                if any(take is not None and stop == inst.n_cols and stop - s < width
+                       for s, stop, take in priced_windows(inst, order, x, width)):
+                    break
+            else:
+                pytest.fail("no order put a take in the last, partial window")
+            assert_matches_walk(inst, order)
+
+    def test_last_column_taken(self):
+        inst = self.mid_instance()
+        for seed in range(200):
+            order = np.random.default_rng([seed, 4]).permutation(inst.n_cols)
+            x, _ = oracles.integer_csc_walk(inst, order)
+            if order[-1] >= inst.n_v and x[order[-1]]:
+                break
+        else:
+            pytest.fail("no order took its last column")
+        assert_matches_walk(inst, order)
