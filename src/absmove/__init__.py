@@ -26,7 +26,6 @@ from .channel import (
 )
 from .config import (
     ExperimentSpec,
-    derive_seed,
     gcm_cache_key,
     load_config,
     merge_config,
@@ -69,6 +68,7 @@ from .sim import (
     SolverConfig,
     TrialConfig,
     TrialLog,
+    derive_seed,
     fly_step,
     plan_period,
     run_trial,

@@ -4,8 +4,10 @@ Subcommands: validate-config, build-gcm, run, plot-data. Exit codes: 0 on
 success, 1 for an unexpected error, 2 for config problems, 3 for IO and
 file-format problems, 4 for solver failures, 5 for contract violations
 detected in produced logs. ``run`` records a failed trial in failures.csv
-under its code, keeps going and exits with the first failure's code.
-Relative output paths are resolved under $ABSMOVE_OUTPUT_ROOT when set.
+under its code, keeps going and exits with the first failure's code;
+``plot-data`` exits 3 on a malformed file in the run directory. Every CSV
+goes through ``sim.write_csv``. Relative output paths are resolved under
+$ABSMOVE_OUTPUT_ROOT when set.
 """
 
 from __future__ import annotations
@@ -37,12 +39,12 @@ from .errors import (
 from .gcm import Gcm, build_gcm, load_gcm, save_gcm
 from .sim import (
     TrialConfig,
-    TrialLog,
     export_metrics_csv,
     export_periods_csv,
     export_trajectory_json,
     run_trial,
     validate_trial_log,
+    write_csv,
 )
 
 _SIDECAR_FORMAT = "absmove-gcm-cache"
@@ -61,8 +63,31 @@ def _mean_std(values) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std())
 
 
-def _fmt(v) -> str:
-    return repr(v) if isinstance(v, float) else str(v)
+# The columns of summary.csv; plots/acr_by_value.csv keeps _ACR_COLUMNS of them.
+_SUMMARY_COLUMNS = (
+    "axis", "value", "solver", "n_abs", "n_gus", "n_trials",
+    "acr_simplified_mean", "acr_simplified_std", "acr_actual_mean",
+    "acr_actual_std", "quantization_error_mean", "planning_time_mean_s",
+)
+_ACR_COLUMNS = ("axis", "value", "solver", "n_trials", "acr_simplified_mean",
+                "acr_simplified_std", "acr_actual_mean", "acr_actual_std")
+
+
+def _summary_row(metas: list[dict]) -> dict:
+    """Mean and spread over the trials of one (sweep value, solver) group.
+
+    The means sum in list order, so a caller that keeps its order keeps
+    its bytes.
+    """
+    simp, simp_std = _mean_std([m["acr_simplified"] for m in metas])
+    act, act_std = _mean_std([m["acr_actual"] for m in metas])
+    quant, _ = _mean_std([m["quantization_error"] for m in metas])
+    ptime, _ = _mean_std([m["mean_planning_time_s"] for m in metas])
+    first = metas[0]
+    return dict(zip(_SUMMARY_COLUMNS, (
+        first["axis"] or "", first["value"], first["solver"], first["n_abs"], first["n_gus"],
+        len(metas), simp, simp_std, act, act_std, quant, ptime,
+    )))
 
 
 def _build_env(tc: TrialConfig) -> Environment:
@@ -117,16 +142,6 @@ def _gcm_for(cfg: dict, tc: TrialConfig, env: Environment, cache_dir: Path | Non
     cache_dir.mkdir(parents=True, exist_ok=True)
     _write_cache_entry(gcm, gcm_path, key)
     return gcm
-
-
-def _export_blocks_csv(env: Environment, path: Path) -> None:
-    lines = ["block,center_x,center_y,half_width,height"]
-    for i, b in enumerate(env.blocks):
-        lines.append(
-            f"{i},{float(b.center_xy[0])!r},{float(b.center_xy[1])!r},"
-            f"{float(b.half_width)!r},{float(b.height)!r}"
-        )
-    path.write_text("\n".join(lines) + "\n")
 
 
 def cmd_validate_config(args) -> int:
@@ -190,11 +205,10 @@ def cmd_run(args) -> int:
 
     rows: list[dict] = []
     failures: list[dict] = []
-    metas: list[dict] = []
     for tag, value, combo_cfg in combos:
         shared: dict[int, tuple[Environment, Gcm]] = {}
         for solver in exp.solvers:
-            logs: list[TrialLog] = []
+            group: list[dict] = []
             for seed in exp.seeds:
                 tc = parse_trial_config(combo_cfg, seed=seed, solver_name=solver)
                 trial_dir = out / "trials" / tag / solver / f"seed{seed}"
@@ -208,15 +222,18 @@ def cmd_run(args) -> int:
                 except Exception as exc:  # noqa: BLE001 - record, then keep going
                     code = _code_for(exc)
                     failures.append({
-                        "tag": tag, "solver": solver, "seed": seed,
-                        "error": type(exc).__name__, "message": str(exc), "code": code,
+                        "tag": tag, "solver": solver, "seed": seed, "error": type(exc).__name__,
+                        "code": code, "message": str(exc).replace("\n", " ").replace(",", ";"),
                     })
                     continue
                 trial_dir.mkdir(parents=True, exist_ok=True)
                 export_metrics_csv(log, trial_dir / "metrics.csv")
                 export_periods_csv(log, trial_dir / "periods.csv")
                 export_trajectory_json(log, trial_dir / "trajectory.json")
-                _export_blocks_csv(env, trial_dir / "blocks.csv")
+                write_csv(trial_dir / "blocks.csv",
+                          ("block", "center_x", "center_y", "half_width", "height"),
+                          ((i, *b.center_xy, b.half_width, b.height)
+                           for i, b in enumerate(env.blocks)))
                 meta = {
                     "tag": tag,
                     "axis": exp.sweep_axis,
@@ -234,48 +251,33 @@ def cmd_run(args) -> int:
                     "over_budget_periods": sum(p.over_budget for p in log.periods),
                 }
                 (trial_dir / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
-                metas.append(meta)
-                logs.append(log)
-            if logs:
-                simp, simp_std = _mean_std([lg.acr_simplified for lg in logs])
-                act, act_std = _mean_std([lg.acr_actual for lg in logs])
-                quant, _ = _mean_std([lg.acr_simplified - lg.acr_actual for lg in logs])
-                ptime, _ = _mean_std([lg.mean_planning_time for lg in logs])
-                rows.append({
-                    "axis": exp.sweep_axis or "",
-                    "value": value,
-                    "solver": solver,
-                    "n_abs": logs[0].cfg.n_abs,
-                    "n_gus": logs[0].cfg.n_gus,
-                    "n_trials": len(logs),
-                    "acr_simplified_mean": simp,
-                    "acr_simplified_std": simp_std,
-                    "acr_actual_mean": act,
-                    "acr_actual_std": act_std,
-                    "quantization_error_mean": quant,
-                    "planning_time_mean_s": ptime,
-                })
+                group.append(meta)
+            if group:
+                rows.append(_summary_row(group))
 
-    header = list(rows[0]) if rows else [
-        "axis", "value", "solver", "n_abs", "n_gus", "n_trials",
-        "acr_simplified_mean", "acr_simplified_std", "acr_actual_mean",
-        "acr_actual_std", "quantization_error_mean", "planning_time_mean_s",
-    ]
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[h]) for h in header))
-    (out / "summary.csv").write_text("\n".join(lines) + "\n")
-
+    write_csv(out / "summary.csv", _SUMMARY_COLUMNS, (row.values() for row in rows))
     if failures:
-        flines = ["tag,solver,seed,error,code,message"]
-        for f in failures:
-            msg = f["message"].replace("\n", " ").replace(",", ";")
-            flines.append(f"{f['tag']},{f['solver']},{f['seed']},{f['error']},{f['code']},{msg}")
-        (out / "failures.csv").write_text("\n".join(flines) + "\n")
+        write_csv(out / "failures.csv", list(failures[0]), (f.values() for f in failures))
         print(f"{len(failures)} trial(s) failed; see {out / 'failures.csv'}", file=sys.stderr)
         return failures[0]["code"]
-    print(f"wrote {out / 'summary.csv'} ({len(rows)} row(s), {len(metas)} trial(s))")
+    print(f"wrote {out / 'summary.csv'} ({len(rows)} row(s), "
+          f"{sum(row['n_trials'] for row in rows)} trial(s))")
     return 0
+
+
+def _read(path: Path, parse):
+    """``parse`` applied to the text of ``path``; a malformed file is a FileFormatError."""
+    try:
+        return parse(path.read_text())
+    except (ValueError, IndexError) as exc:  # JSON, number or shape errors
+        raise FileFormatError(f"malformed {path}: {exc}") from exc
+
+
+def _cr_columns(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """The simplified and actual per-step CR columns of a metrics.csv."""
+    body = text.strip().splitlines()[1:]
+    cols = np.array([[float(x) for x in ln.split(",")[1:]] for ln in body])
+    return cols[:, 0], cols[:, 1]
 
 
 def cmd_plot_data(args) -> int:
@@ -289,69 +291,53 @@ def cmd_plot_data(args) -> int:
     plots = run_dir / "plots"
     plots.mkdir(exist_ok=True)
 
-    trials = [json.loads(p.read_text()) for p in metas]
     groups: dict[tuple[str, str], list[tuple[dict, Path]]] = {}
-    for meta, path in zip(trials, metas):
+    for path in metas:
+        meta = _read(path, json.loads)
         groups.setdefault((meta["tag"], meta["solver"]), []).append((meta, path.parent))
+    groups = dict(sorted(groups.items()))
 
     # Step-wise CR averaged over seeds, long format.
-    step_lines = ["tag,solver,step,cr_simplified_mean,cr_actual_mean"]
-    for (tag, solver), items in sorted(groups.items()):
-        simp, act = [], []
-        for _, tdir in items:
-            body = (tdir / "metrics.csv").read_text().strip().splitlines()[1:]
-            cols = np.array([[float(x) for x in ln.split(",")[1:]] for ln in body])
-            simp.append(cols[:, 0])
-            act.append(cols[:, 1])
-        ms, ma = np.mean(simp, axis=0), np.mean(act, axis=0)
-        for i in range(len(ms)):
-            step_lines.append(f"{tag},{solver},{i + 1},{float(ms[i])!r},{float(ma[i])!r}")
-    (plots / "stepwise_cr.csv").write_text("\n".join(step_lines) + "\n")
+    step_rows = []
+    for (tag, solver), items in groups.items():
+        simp, act = zip(*(_read(tdir / "metrics.csv", _cr_columns) for _, tdir in items))
+        means = zip(np.mean(simp, axis=0), np.mean(act, axis=0))
+        step_rows += [(tag, solver, i, s, a) for i, (s, a) in enumerate(means, 1)]
+    write_csv(plots / "stepwise_cr.csv",
+              ("tag", "solver", "step", "cr_simplified_mean", "cr_actual_mean"), step_rows)
 
     # ACR per sweep value and solver, with spread across seeds.
-    acr_lines = ["axis,value,solver,n_trials,acr_simplified_mean,acr_simplified_std,"
-                 "acr_actual_mean,acr_actual_std"]
-    for (tag, solver), items in sorted(groups.items()):
-        vals_s = [m["acr_simplified"] for m, _ in items]
-        vals_a = [m["acr_actual"] for m, _ in items]
-        ms, ss = _mean_std(vals_s)
-        ma, sa = _mean_std(vals_a)
-        axis = items[0][0]["axis"] or ""
-        value = items[0][0]["value"]
-        acr_lines.append(
-            f"{axis},{_fmt(value)},{solver},{len(items)},{ms!r},{ss!r},{ma!r},{sa!r}"
-        )
-    (plots / "acr_by_value.csv").write_text("\n".join(acr_lines) + "\n")
+    acr_rows = [_summary_row([m for m, _ in items]) for items in groups.values()]
+    write_csv(plots / "acr_by_value.csv", _ACR_COLUMNS,
+              ([row[c] for c in _ACR_COLUMNS] for row in acr_rows))
 
     # Trajectories plus block footprints for overlay plots.
-    traj_lines = ["tag,solver,seed,step,kind,index,x,y,z"]
-    for (tag, solver), items in sorted(groups.items()):
+    traj_rows = []
+    for (tag, solver), items in groups.items():
         for meta, tdir in items:
-            data = json.loads((tdir / "trajectory.json").read_text())
+            data = _read(tdir / "trajectory.json", json.loads)
+            seed = meta["seed"]
             for i, frame in enumerate(data["abs_positions"]):
-                for k, p in enumerate(frame):
-                    traj_lines.append(
-                        f"{tag},{solver},{meta['seed']},{i},abs,{k},{p[0]!r},{p[1]!r},{p[2]!r}"
-                    )
-            for i, frame in enumerate(data["gu_positions"]):
-                for k, p in enumerate(frame):
-                    traj_lines.append(
-                        f"{tag},{solver},{meta['seed']},{i},gu,{k},{p[0]!r},{p[1]!r},"
-                    )
-    (plots / "trajectories.csv").write_text("\n".join(traj_lines) + "\n")
+                traj_rows += [(tag, solver, seed, i, "abs", k, *p) for k, p in enumerate(frame)]
+            for i, frame in enumerate(data["gu_positions"]):  # ground users have no z
+                traj_rows += [(tag, solver, seed, i, "gu", k, *p, None)
+                              for k, p in enumerate(frame)]
+    write_csv(plots / "trajectories.csv",
+              ("tag", "solver", "seed", "step", "kind", "index", "x", "y", "z"), traj_rows)
 
-    block_lines = ["tag,seed,block,center_x,center_y,half_width,height"]
+    block_rows = []
     seen: set[tuple[str, int]] = set()
-    for (tag, _), items in sorted(groups.items()):
+    for (tag, _), items in groups.items():
         for meta, tdir in items:
             key = (tag, meta["seed"])
             if key in seen:
                 continue
             seen.add(key)
             body = (tdir / "blocks.csv").read_text().strip().splitlines()[1:]
-            for ln in body:
-                block_lines.append(f"{tag},{meta['seed']},{ln}")
-    (plots / "blocks.csv").write_text("\n".join(block_lines) + "\n")
+            block_rows += [(tag, meta["seed"], *ln.split(",")) for ln in body]
+    write_csv(plots / "blocks.csv",
+              ("tag", "seed", "block", "center_x", "center_y", "half_width", "height"),
+              block_rows)
 
     print(f"wrote plot data under {plots}")
     return 0

@@ -18,13 +18,12 @@ import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from .channel import ChannelParams
 from .errors import ConfigError
 from .gcm import GridSpec
-from .sim import EnvConfig, SolverConfig, TrialConfig
+from .sim import EnvConfig, SolverConfig, TrialConfig, derive_seed
 
 CONFIG_VERSION = 1
 
@@ -76,11 +75,6 @@ _STREAM_INIT = 2
 _STREAM_SOLVER = 3
 
 
-def derive_seed(trial_seed: int, stream: int) -> int:
-    """Independent child seed for one named stream of a trial."""
-    return int(np.random.SeedSequence([int(trial_seed), int(stream)]).generate_state(1)[0])
-
-
 def _merge(defaults, override, path: str):
     if isinstance(defaults, dict):
         if not isinstance(override, dict):
@@ -107,10 +101,9 @@ def merge_config(override: dict | None) -> dict:
 
 def load_config(path) -> dict:
     """Read a YAML scenario file and fill in every default."""
-    text = Path(path).read_text()
     try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+        raw = yaml.safe_load(Path(path).read_text())
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if raw is None:
         raw = {}

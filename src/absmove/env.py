@@ -22,6 +22,8 @@ from .errors import EnvironmentTooDenseError
 _DENSE_PAIRS = 1 << 13
 # Angular widening (rad) and relative reach margin of the azimuth gather.
 _AZIMUTH_PAD = 1e-9
+# Rejection draws for one block's footprint before the layout counts as too dense.
+_TRIES_PER_BLOCK = 1000
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,6 @@ def generate_environment(
     block_width: float,
     height_range: tuple[float, float],
     seed: int,
-    max_tries_per_block: int = 1000,
 ) -> Environment:
     """Draw non-overlapping blocks uniformly inside the area.
 
@@ -132,7 +133,7 @@ def generate_environment(
     placed_x = np.empty(num_blocks)
     placed_y = np.empty(num_blocks)
     for k in range(num_blocks):
-        for _ in range(max_tries_per_block):
+        for _ in range(_TRIES_PER_BLOCK):
             cx = rng.uniform(half, d1 - half)
             cy = rng.uniform(half, d2 - half)
             # Interiors overlap only when both axis gaps are below one width.
@@ -146,7 +147,7 @@ def generate_environment(
         else:
             raise EnvironmentTooDenseError(
                 f"could not place block {k + 1}/{num_blocks} after "
-                f"{max_tries_per_block} tries; environment too dense"
+                f"{_TRIES_PER_BLOCK} tries; environment too dense"
             )
 
     blocks = tuple(

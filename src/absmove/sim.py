@@ -213,8 +213,9 @@ class TrialLog:
         return float(np.mean(planned)) if planned else 0.0
 
 
-def _period_seed(base: int, period: int, stream: int) -> int:
-    return int(np.random.SeedSequence([base, period, stream]).generate_state(1)[0])
+def derive_seed(*key: int) -> int:
+    """Independent child seed for one named stream, e.g. (trial seed, stream)."""
+    return int(np.random.SeedSequence([int(k) for k in key]).generate_state(1)[0])
 
 
 def initial_gu_positions(env: Environment, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -320,7 +321,7 @@ def plan_period(state: PlanState, gcm: Gcm, cfg: TrialConfig) -> PeriodRecord:
     bound = None
     if sc.name == "kmeans-ea":
         start = kmeans_init(
-            instance, state.gu_positions, _period_seed(cfg.solver_seed, state.period, 1)
+            instance, state.gu_positions, derive_seed(cfg.solver_seed, state.period, 1)
         )
         radius = cfg.movement_radius if sc.ea_mutation_radius is None else sc.ea_mutation_radius
         placement = ea_step(
@@ -328,7 +329,7 @@ def plan_period(state: PlanState, gcm: Gcm, cfg: TrialConfig) -> PeriodRecord:
             instance,
             rounds=sc.ea_rounds,
             mutation_radius=radius,
-            seed=_period_seed(cfg.solver_seed, state.period, 2),
+            seed=derive_seed(cfg.solver_seed, state.period, 2),
         )
     elif sc.name == "oracle":
         placement = exact_optimum(instance, sc.oracle_cap, sc.oracle_branch_and_bound)
@@ -336,7 +337,7 @@ def plan_period(state: PlanState, gcm: Gcm, cfg: TrialConfig) -> PeriodRecord:
         report = solve(
             instance,
             duplication=sc.duplication,
-            seed=_period_seed(cfg.solver_seed, state.period, 0),
+            seed=derive_seed(cfg.solver_seed, state.period, 0),
         )
         placement, bound = report.placement, report.gap_bound
     elapsed = time.perf_counter() - t0
@@ -494,30 +495,38 @@ def validate_trial_log(log: TrialLog, gcm: Gcm | None = None) -> None:
                     )
 
 
-def export_metrics_csv(log: TrialLog, path) -> None:
-    """Per-step coverage in both modes; floats via repr for stable bytes."""
-    lines = ["step,cr_simplified,cr_actual"]
-    for i in range(len(log.cr_simplified)):
-        lines.append(f"{i + 1},{float(log.cr_simplified[i])!r},{float(log.cr_actual[i])!r}")
+def write_csv(path, header, rows) -> None:
+    """The one table format: a header line, then one line per row.
+
+    A float cell (NumPy floats too) is written by ``repr(float(v))``, None
+    as an empty cell and anything else by ``str``; every line ends in \\n.
+    """
+    def cell(v) -> str:
+        if v is None:
+            return ""
+        return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(cell, row)) + "\n")
+
+
+def export_metrics_csv(log: TrialLog, path) -> None:
+    """Per-step coverage in both modes."""
+    write_csv(path, ("step", "cr_simplified", "cr_actual"),
+              zip(range(1, len(log.cr_simplified) + 1), log.cr_simplified, log.cr_actual))
 
 
 def export_periods_csv(log: TrialLog, path) -> None:
-    lines = [
-        "period,trigger_step,anchor_cells,target_cells,planned_value,"
-        "planning_time_s,over_budget,gap_bound"
-    ]
-    for rec in log.periods:
-        anchor = ";".join(str(c) for c in rec.anchor_cells)
-        target = ";".join(str(c) for c in rec.target_cells)
-        bound = "" if rec.gap_bound is None else repr(rec.gap_bound)
-        lines.append(
-            f"{rec.period},{rec.trigger_step},{anchor},{target},{rec.planned_value},"
-            f"{rec.planning_time_s!r},{int(rec.over_budget)},{bound}"
-        )
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(
+        path,
+        ("period", "trigger_step", "anchor_cells", "target_cells", "planned_value",
+         "planning_time_s", "over_budget", "gap_bound"),
+        ((rec.period, rec.trigger_step, ";".join(map(str, rec.anchor_cells)),
+          ";".join(map(str, rec.target_cells)), rec.planned_value, rec.planning_time_s,
+          int(rec.over_budget), rec.gap_bound) for rec in log.periods),
+    )
 
 
 def export_trajectory_json(log: TrialLog, path) -> None:

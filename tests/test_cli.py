@@ -64,6 +64,14 @@ class TestValidateConfig:
         assert cli.main(["validate-config", str(p)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate-config", "run"])
+    def test_non_utf8_file_is_config_error(self, tmp_path, capsys, command):
+        p = tmp_path / "s.yaml"
+        p.write_bytes(b"\xff\xfe\x00")
+        assert cli.main([command, str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "cannot parse" in err
+
     def test_inconsistent_timing_is_config_error(self, tmp_path):
         cfg = write_cfg(tmp_path / "s.yaml", timing={"flight_time": 3.0})
         assert cli.main(["validate-config", str(cfg)]) == 2
@@ -404,3 +412,17 @@ class TestPlotData:
         empty.mkdir()
         assert cli.main(["plot-data", str(empty)]) == 3
         assert "io error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, damage", [
+        ("meta.json", lambda text: text[: len(text) // 2]),
+        ("metrics.csv", lambda text: text.replace("\n2,", "\n2,oops", 1)),
+    ], ids=["meta.json", "metrics.csv"])
+    def test_corrupt_trial_file_is_io_error(self, tmp_path, capsys, name, damage):
+        cfg = write_cfg(tmp_path / "s.yaml")
+        out = tmp_path / "run"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+        target = out / "trials" / "base" / "online" / "seed0" / name
+        target.write_text(damage(target.read_text()))
+        assert cli.main(["plot-data", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "io error" in err and str(target) in err

@@ -37,6 +37,7 @@ from absmove.sim import (
     export_periods_csv,
     export_trajectory_json,
     initial_gu_positions,
+    write_csv,
 )
 
 
@@ -426,6 +427,19 @@ class TestValidateTrialLog:
 
 
 class TestExports:
+    def test_write_csv_cells(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ("a", "b", "c", "d"),
+                  [(np.float64(0.1), np.int64(7), None, "x;y"), (1.5, 2, "", np.float32(0.5))])
+        data = path.read_bytes()
+        assert data == b"a,b,c,d\n0.1,7,,x;y\n1.5,2,,0.5\n"
+        assert b"\r" not in data and data.endswith(b"\n")
+
+    def test_write_csv_header_only(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["only"], iter(()))
+        assert path.read_bytes() == b"only\n"
+
     def test_metrics_csv_roundtrip(self, tmp_path, tiny_env, tiny_gcm):
         log = run_trial(tiny_cfg(), tiny_env, tiny_gcm)
         path = tmp_path / "metrics.csv"
