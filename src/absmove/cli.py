@@ -273,6 +273,25 @@ def _read(path: Path, parse):
         raise FileFormatError(f"malformed {path}: {exc}") from exc
 
 
+# The keys plot-data reads from each trial's meta.json and trajectory.json.
+_META_KEYS = ("tag", "axis", "value", "solver", "seed", "n_abs", "n_gus", "acr_simplified",
+              "acr_actual", "quantization_error", "mean_planning_time_s")
+_TRAJECTORY_KEYS = ("abs_positions", "gu_positions")
+
+
+def _json_object(keys):
+    """A parser for JSON text that must be an object holding every one of ``keys``."""
+    def parse(text: str) -> dict:
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("not a JSON object")
+        missing = [k for k in keys if k not in data]
+        if missing:
+            raise ValueError(f"missing key(s) {', '.join(missing)}")
+        return data
+    return parse
+
+
 def _cr_columns(text: str) -> tuple[np.ndarray, np.ndarray]:
     """The simplified and actual per-step CR columns of a metrics.csv."""
     body = text.strip().splitlines()[1:]
@@ -293,7 +312,7 @@ def cmd_plot_data(args) -> int:
 
     groups: dict[tuple[str, str], list[tuple[dict, Path]]] = {}
     for path in metas:
-        meta = _read(path, json.loads)
+        meta = _read(path, _json_object(_META_KEYS))
         groups.setdefault((meta["tag"], meta["solver"]), []).append((meta, path.parent))
     groups = dict(sorted(groups.items()))
 
@@ -315,7 +334,7 @@ def cmd_plot_data(args) -> int:
     traj_rows = []
     for (tag, solver), items in groups.items():
         for meta, tdir in items:
-            data = _read(tdir / "trajectory.json", json.loads)
+            data = _read(tdir / "trajectory.json", _json_object(_TRAJECTORY_KEYS))
             seed = meta["seed"]
             for i, frame in enumerate(data["abs_positions"]):
                 traj_rows += [(tag, solver, seed, i, "abs", k, *p) for k, p in enumerate(frame)]

@@ -7,9 +7,14 @@ previous period, then a hover/serve phase. Planning for period e is triggered
 that instant; GUs keep moving while the plan is computed, so the measured
 coverage includes that staleness.
 
-Coverage is logged per step in two modes: "simplified" snaps ABSs and GUs to
-their grid cells and reads the connectivity map, "actual" evaluates the full
-channel chain at the continuous positions.
+Nothing in a trial reads its coverage, and the users never read the fleet,
+so ``run_trial`` runs in three phases: it draws every user path, then flies
+the fleet and plans at the triggers from those paths, then scores both
+coverage modes from the two position arrays. "Simplified" coverage snaps each
+distinct ABS position to its grid cell once and reads the connectivity map
+for all steps at once. "Actual" coverage evaluates the full channel chain at
+the continuous positions, in one ``coverage_mask`` call per run of steps an
+ABS spends at one exact position within one period.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 # kmeans_centroids stays importable here so tools can wrap each planning layer.
 from .baselines import ea_step, exact_optimum, kmeans_centroids, kmeans_init  # noqa: F401
-from .bilp import assemble, evaluate_placement, feasible_sets
+from .bilp import assemble, feasible_sets
 from .channel import ChannelParams, coverage_mask
 from .env import Environment, check_layout, obstructed_mask
 from .errors import ConfigError, ContractViolationError, InfeasibleSetError
@@ -354,7 +359,15 @@ def plan_period(state: PlanState, gcm: Gcm, cfg: TrialConfig) -> PeriodRecord:
 
 
 def run_trial(cfg: TrialConfig, environment: Environment, gcm: Gcm) -> TrialLog:
-    """Execute one full trial and log both coverage modes every step."""
+    """Execute one full trial and log both coverage modes every step.
+
+    Phase 1 draws every user position, with one ``step_gu`` call per step
+    from the mobility stream, which feeds nothing else. Phase 2 flies the
+    fleet and fires the planning triggers from those positions, with the
+    flight contract checks at the steps where they apply. Phase 3 scores
+    both modes from the two position arrays (``_simplified_cr`` and
+    ``_actual_cr``).
+    """
     n, m = cfg.n_abs, cfg.n_gus
     i_total, j_steps = cfg.n_steps, cfg.steps_per_period
     rng_init = np.random.default_rng([cfg.init_seed])
@@ -366,9 +379,15 @@ def run_trial(cfg: TrialConfig, environment: Environment, gcm: Gcm) -> TrialLog:
     start_cells = tuple(int(c) for c in rng_init.choice(valid_ids, size=n, replace=False))
     centers = cfg.spec.traversal.centers
     abs_pos = centers[np.array(start_cells) - 1]
-    gu_pos = initial_gu_positions(environment, m, rng_init)
 
-    # Planning triggers: period e plans at step (e-1)*J - lead (clamped to 0).
+    # Phase 1: user paths.
+    gu_hist = np.empty((i_total + 1, m, 2))
+    gu_hist[0] = initial_gu_positions(environment, m, rng_init)
+    for i in range(1, i_total + 1):
+        gu_hist[i] = step_gu(gu_hist[i - 1], environment, cfg.gu_speed, cfg.step, rng_mob)
+
+    # Phase 2: flights and plans. Period e plans at step (e-1)*J - lead
+    # (clamped to 0).
     triggers: dict[int, list[int]] = {}
     first_planned = 1 if cfg.plan_before_start else 2
     for e in range(first_planned, cfg.n_periods + 1):
@@ -392,24 +411,15 @@ def run_trial(cfg: TrialConfig, environment: Environment, gcm: Gcm) -> TrialLog:
     def fire_trigger(step_idx: int) -> None:
         nonlocal anchor
         for e in sorted(triggers.get(step_idx, [])):
-            state = PlanState(anchor_cells=anchor, gu_positions=gu_pos.copy(), period=e)
+            state = PlanState(anchor_cells=anchor, gu_positions=gu_hist[step_idx].copy(), period=e)
             records[e] = replace(plan_period(state, gcm, cfg), trigger_step=step_idx)
             anchor = records[e].target_cells
 
     abs_hist = np.empty((i_total + 1, n, 3))
-    gu_hist = np.empty((i_total + 1, m, 2))
-    abs_hist[0], gu_hist[0] = abs_pos, gu_pos
-    cr_simpl = np.empty(i_total)
-    cr_act = np.empty(i_total)
-    boundary_bad = 0
-    exclusion_bad = 0
-    h = cfg.channel.abs_alt
-
+    abs_hist[0] = abs_pos
     fire_trigger(0)
 
     for i in range(1, i_total + 1):
-        gu_pos = step_gu(gu_pos, environment, cfg.gu_speed, cfg.step, rng_mob)
-
         step_in_period = (i - 1) % j_steps  # 0 on a period's first step
         if step_in_period == 0:
             # Every period flies to its record's targets; an unplanned
@@ -428,39 +438,65 @@ def run_trial(cfg: TrialConfig, environment: Environment, gcm: Gcm) -> TrialLog:
                     raise ContractViolationError("flight phase ended short of the target")
                 abs_pos = flight_target.copy()
 
-        # Eq-style placement constraints: inside the area, outside tall
-        # footprints. Violations are tallied, not fatal.
-        xy = abs_pos[:, :2]
-        out_of_area = (
-            (xy[:, 0] < 0) | (xy[:, 0] > cfg.spec.d1)
-            | (xy[:, 1] < 0) | (xy[:, 1] > cfg.spec.d2)
-        )
-        boundary_bad += int(out_of_area.sum())
-        exclusion_bad += int(obstructed_mask(environment, xy, min_height=h).sum())
-
-        snapped = [nearest_valid_abs_cell(gcm, p) for p in xy]
-        cr_simpl[i - 1] = evaluate_placement(gcm, snapped, gu_pos) / m
-
-        gu3 = np.column_stack([gu_pos, np.full(m, cfg.channel.gu_alt)])
-        covered_act = np.zeros(m, dtype=bool)
-        for p in abs_pos:
-            covered_act |= coverage_mask(cfg.channel, environment, p, gu3)
-        cr_act[i - 1] = covered_act.mean()
-
-        abs_hist[i], gu_hist[i] = abs_pos, gu_pos
+        abs_hist[i] = abs_pos
         fire_trigger(i)
 
-    period_list = tuple(records[e] for e in sorted(records))
+    # Phase 3: scoring. Eq-style placement constraints (inside the area,
+    # outside tall footprints) are tallied, not fatal.
+    xy = abs_hist[1:, :, :2].reshape(-1, 2)
+    h = cfg.channel.abs_alt
+    out_of_area = (
+        (xy[:, 0] < 0) | (xy[:, 0] > cfg.spec.d1)
+        | (xy[:, 1] < 0) | (xy[:, 1] > cfg.spec.d2)
+    )
     return TrialLog(
         cfg=cfg,
-        cr_simplified=cr_simpl,
-        cr_actual=cr_act,
+        cr_simplified=_simplified_cr(gcm, abs_hist[1:], gu_hist[1:]),
+        cr_actual=_actual_cr(cfg, environment, abs_hist[1:], gu_hist[1:]),
         abs_positions=abs_hist,
         gu_positions=gu_hist,
-        periods=period_list,
-        boundary_violations=boundary_bad,
-        exclusion_violations=exclusion_bad,
+        periods=tuple(records[e] for e in sorted(records)),
+        boundary_violations=int(out_of_area.sum()),
+        exclusion_violations=int(obstructed_mask(environment, xy, min_height=h).sum()),
     )
+
+
+def _simplified_cr(gcm: Gcm, abs_steps: np.ndarray, gu_steps: np.ndarray) -> np.ndarray:
+    """Per-step share of users whose ground grid some ABS's snapped cell
+    covers; (I, N, 3) ABS and (I, M, 2) user positions in.
+
+    Each distinct ABS position is snapped once. The count is an integer, so
+    each step's share is the same float as ``evaluate_placement(...) / M``.
+    """
+    i_total, m, _ = gu_steps.shape
+    distinct, inverse = np.unique(abs_steps[..., :2].reshape(-1, 2), axis=0, return_inverse=True)
+    snapped = np.array([nearest_valid_abs_cell(gcm, p) for p in distinct])
+    snapped = snapped[inverse.reshape(-1)].reshape(i_total, -1)
+    grids = gcm.spec.ground.cells_of(gu_steps.reshape(-1, 2)).reshape(i_total, m)
+    return gcm.z[snapped[:, :, None] - 1, grids[:, None, :] - 1].any(axis=1).sum(axis=1) / m
+
+
+def _actual_cr(cfg: TrialConfig, environment: Environment, abs_steps: np.ndarray,
+               gu_steps: np.ndarray) -> np.ndarray:
+    """Per-step share of users some ABS covers through the full channel
+    chain; (I, N, 3) ABS and (I, M, 2) user positions in.
+
+    One ``coverage_mask`` call takes every link of one run of steps that an
+    ABS spends at one exact position. A run stops at each period boundary,
+    so one call holds at most J*M links, which bounds its peak memory.
+    Every stage of the chain is elementwise per link, so the verdicts are
+    those of per-step calls.
+    """
+    i_total, m, _ = gu_steps.shape
+    gu3 = np.concatenate([gu_steps, np.full((i_total, m, 1), cfg.channel.gu_alt)], axis=2)
+    period_start = np.arange(i_total) % cfg.steps_per_period == 0
+    covered = np.zeros((i_total, m), dtype=bool)
+    for track in abs_steps.transpose(1, 0, 2):
+        starts = np.flatnonzero(period_start | np.r_[True, (track[1:] != track[:-1]).any(axis=1)])
+        for a, b in zip(starts, np.r_[starts[1:], i_total]):
+            links = gu3[a:b].reshape(-1, 3)
+            covered[a:b] |= coverage_mask(cfg.channel, environment, track[a], links).reshape(-1, m)
+    return covered.mean(axis=1)
 
 
 def validate_trial_log(log: TrialLog, gcm: Gcm | None = None) -> None:

@@ -5,9 +5,10 @@ formulas and first principles, avoiding the package's own code paths: path
 loss as literal scalar arithmetic, Marcum Q through the noncentral chi-square
 tail, line of sight by dense segment sampling, and the optimizers by plain
 enumeration or an LP solver. Tests compare package outputs against these.
-Two references instead keep a simpler form of a package routine: the fixing
-pass as a literal column walk, and the map build as the full chain on every
-link.
+Three references instead keep a simpler form of a package routine: the
+fixing pass as a literal column walk, the map build as the full chain on
+every link, and the trial as one loop that moves, flies, plans and scores
+step by step.
 """
 
 from __future__ import annotations
@@ -172,6 +173,120 @@ def full_chain_gcm(env, params, spec):
     for t in np.flatnonzero(valid):
         z[t] = coverage_mask(params, env, centers[t], eval_points)
     return Gcm(spec=spec, z=z, abs_cell_valid=valid, eta=params.outage_threshold)
+
+
+# ---------------------------------------------------------------------------
+# Trial as one interleaved loop
+
+
+def stepwise_trial(cfg, environment, gcm):
+    """``run_trial`` as a single loop: each step moves the users, flies the
+    fleet, tallies the placement constraints, scores both coverage modes
+    (one ``coverage_mask`` call per ABS) and then fires that step's
+    planning triggers.
+
+    Package routines are looked up on ``absmove.sim`` at call time, so a
+    test that patches one there patches this loop too.
+    """
+    from dataclasses import replace
+
+    import absmove.sim as sim
+    from absmove import evaluate_placement
+    from absmove.errors import ContractViolationError, InfeasibleSetError
+
+    n, m = cfg.n_abs, cfg.n_gus
+    i_total, j_steps = cfg.n_steps, cfg.steps_per_period
+    rng_init = np.random.default_rng([cfg.init_seed])
+    rng_mob = np.random.default_rng([cfg.mobility_seed])
+
+    valid_ids = np.flatnonzero(gcm.abs_cell_valid) + 1
+    if len(valid_ids) < n:
+        raise InfeasibleSetError(f"only {len(valid_ids)} valid cells for {n} ABSs")
+    start_cells = tuple(int(c) for c in rng_init.choice(valid_ids, size=n, replace=False))
+    centers = cfg.spec.traversal.centers
+    abs_pos = centers[np.array(start_cells) - 1]
+    gu_pos = sim.initial_gu_positions(environment, m, rng_init)
+
+    triggers: dict[int, list[int]] = {}
+    first_planned = 1 if cfg.plan_before_start else 2
+    for e in range(first_planned, cfg.n_periods + 1):
+        triggers.setdefault(max(0, (e - 1) * j_steps - cfg.lead_steps), []).append(e)
+
+    records = {}
+    if not cfg.plan_before_start:
+        records[1] = sim.PeriodRecord(
+            period=1, trigger_step=-1, anchor_cells=start_cells, target_cells=start_cells,
+            planned_value=-1, planning_time_s=0.0, over_budget=False,
+        )
+    anchor = start_cells
+
+    def fire_trigger(step_idx: int) -> None:
+        nonlocal anchor
+        for e in sorted(triggers.get(step_idx, [])):
+            state = sim.PlanState(anchor_cells=anchor, gu_positions=gu_pos.copy(), period=e)
+            records[e] = replace(sim.plan_period(state, gcm, cfg), trigger_step=step_idx)
+            anchor = records[e].target_cells
+
+    abs_hist = np.empty((i_total + 1, n, 3))
+    gu_hist = np.empty((i_total + 1, m, 2))
+    abs_hist[0], gu_hist[0] = abs_pos, gu_pos
+    cr_simpl = np.empty(i_total)
+    cr_act = np.empty(i_total)
+    boundary_bad = 0
+    exclusion_bad = 0
+    h = cfg.channel.abs_alt
+
+    fire_trigger(0)
+
+    for i in range(1, i_total + 1):
+        gu_pos = sim.step_gu(gu_pos, environment, cfg.gu_speed, cfg.step, rng_mob)
+
+        step_in_period = (i - 1) % j_steps
+        if step_in_period == 0:
+            flown = records[(i - 1) // j_steps + 1]
+            flight_target = centers[np.array(flown.target_cells) - 1]
+            far = np.linalg.norm(flight_target[:, :2] - abs_pos[:, :2], axis=1)
+            if np.any(far > cfg.movement_radius * (1.0 + 1e-9)):
+                raise ContractViolationError("planned target outside the reachable flight radius")
+
+        if step_in_period < cfg.flight_steps:
+            time_left = cfg.flight_time - step_in_period * cfg.step
+            abs_pos = sim.fly_step(abs_pos, flight_target, cfg.abs_speed, cfg.step, time_left)
+            if step_in_period == cfg.flight_steps - 1:
+                if not np.allclose(abs_pos, flight_target, atol=1e-6):
+                    raise ContractViolationError("flight phase ended short of the target")
+                abs_pos = flight_target.copy()
+
+        xy = abs_pos[:, :2]
+        out_of_area = (
+            (xy[:, 0] < 0) | (xy[:, 0] > cfg.spec.d1)
+            | (xy[:, 1] < 0) | (xy[:, 1] > cfg.spec.d2)
+        )
+        boundary_bad += int(out_of_area.sum())
+        exclusion_bad += int(sim.obstructed_mask(environment, xy, min_height=h).sum())
+
+        snapped = [sim.nearest_valid_abs_cell(gcm, p) for p in xy]
+        cr_simpl[i - 1] = evaluate_placement(gcm, snapped, gu_pos) / m
+
+        gu3 = np.column_stack([gu_pos, np.full(m, cfg.channel.gu_alt)])
+        covered_act = np.zeros(m, dtype=bool)
+        for p in abs_pos:
+            covered_act |= sim.coverage_mask(cfg.channel, environment, p, gu3)
+        cr_act[i - 1] = covered_act.mean()
+
+        abs_hist[i], gu_hist[i] = abs_pos, gu_pos
+        fire_trigger(i)
+
+    return sim.TrialLog(
+        cfg=cfg,
+        cr_simplified=cr_simpl,
+        cr_actual=cr_act,
+        abs_positions=abs_hist,
+        gu_positions=gu_hist,
+        periods=tuple(records[e] for e in sorted(records)),
+        boundary_violations=boundary_bad,
+        exclusion_violations=exclusion_bad,
+    )
 
 
 # ---------------------------------------------------------------------------

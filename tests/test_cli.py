@@ -426,3 +426,30 @@ class TestPlotData:
         assert cli.main(["plot-data", str(out)]) == 3
         err = capsys.readouterr().err
         assert "io error" in err and str(target) in err
+
+    @pytest.mark.parametrize("name, key", [
+        ("meta.json", "acr_actual"),
+        ("meta.json", "tag"),
+        ("trajectory.json", "abs_positions"),
+        ("trajectory.json", "gu_positions"),
+    ])
+    def test_missing_key_is_io_error(self, tmp_path, capsys, name, key):
+        cfg = write_cfg(tmp_path / "s.yaml")
+        out = tmp_path / "run"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+        target = out / "trials" / "base" / "online" / "seed0" / name
+        data = json.loads(target.read_text())
+        del data[key]
+        target.write_text(json.dumps(data))
+        assert cli.main(["plot-data", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "io error" in err and str(target) in err and key in err
+
+    def test_non_object_meta_is_io_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "s.yaml")
+        out = tmp_path / "run"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+        target = out / "trials" / "base" / "online" / "seed0" / "meta.json"
+        target.write_text("[1, 2]\n")
+        assert cli.main(["plot-data", str(out)]) == 3
+        assert str(target) in capsys.readouterr().err

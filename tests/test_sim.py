@@ -32,6 +32,8 @@ from absmove import (
     validate_trial_log,
 )
 import absmove.sim as sim
+import oracles
+from absmove.channel import ModelValidityWarning
 from absmove.sim import (
     export_metrics_csv,
     export_periods_csv,
@@ -378,6 +380,132 @@ class TestRunTrial:
         planned = [r.planning_time_s for r in log.periods if r.trigger_step >= 0]
         assert log.mean_planning_time == pytest.approx(float(np.mean(planned)))
         assert log.mean_planning_time > 0.0
+
+
+def assert_same_log(got, want):
+    """Field-by-field equality of two trial logs, wall-clock planning time
+    masked."""
+    assert got.cfg == want.cfg
+    for name in ("cr_simplified", "cr_actual", "abs_positions", "gu_positions"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    masked = [[dataclasses.replace(r, planning_time_s=0.0) for r in log.periods]
+              for log in (got, want)]
+    assert masked[0] == masked[1]
+    assert got.boundary_violations == want.boundary_violations
+    assert got.exclusion_violations == want.exclusion_violations
+
+
+class TestAgainstStepwise:
+    """``run_trial`` against the interleaved reference loop."""
+
+    @pytest.mark.parametrize("before", [False, True])
+    @pytest.mark.parametrize("solver", ["online", "oracle", "kmeans-ea"])
+    def test_tiny_scene(self, tiny_env, tiny_gcm, solver, before):
+        cfg = tiny_cfg(solver=SolverConfig(name=solver, duplication=2, ea_rounds=50),
+                       plan_before_start=before)
+        assert_same_log(run_trial(cfg, tiny_env, tiny_gcm),
+                        oracles.stepwise_trial(cfg, tiny_env, tiny_gcm))
+
+    @pytest.mark.parametrize("before", [False, True])
+    def test_still_users(self, tiny_env, tiny_gcm, before):
+        cfg = tiny_cfg(gu_speed=0.0, plan_before_start=before)
+        assert_same_log(run_trial(cfg, tiny_env, tiny_gcm),
+                        oracles.stepwise_trial(cfg, tiny_env, tiny_gcm))
+
+    @pytest.mark.parametrize("solver", ["online", "kmeans-ea"])
+    def test_scene_with_blocks(self, city_env, city_gcm, spec20, solver):
+        # 30 users against 40 blocks: a step's sightlines take the dense
+        # gather, a hover run's the azimuth one.
+        cfg = tiny_cfg(spec=spec20, n_gus=30, solver=SolverConfig(name=solver, ea_rounds=50))
+        log = run_trial(cfg, city_env, city_gcm)
+        assert_same_log(log, oracles.stepwise_trial(cfg, city_env, city_gcm))
+        assert 0.0 < log.acr_actual < 1.0
+
+    def test_stationary_fleet_is_scored_per_period(self, tiny_env, tiny_gcm, monkeypatch):
+        # Still users and one optimum: after the first flight the fleet
+        # never moves again, so a hover run would span several periods.
+        cfg = tiny_cfg(gu_speed=0.0, solver=SolverConfig(name="oracle"), plan_before_start=True)
+        links, coverage_mask_ = [], sim.coverage_mask
+
+        def recording_coverage_mask(params, env, p, qs):
+            links.append(len(qs))
+            return coverage_mask_(params, env, p, qs)
+
+        monkeypatch.setattr(sim, "coverage_mask", recording_coverage_mask)
+        log = run_trial(cfg, tiny_env, tiny_gcm)
+        j, f, m = cfg.steps_per_period, cfg.flight_steps, cfg.n_gus
+        held = log.abs_positions[f:]
+        assert (held == held[0]).all() and (log.abs_positions[0] != held[0]).any(axis=1).all()
+        # Per ABS: one call per first-period step in transit, one for the
+        # rest of that period from the arrival step on, then one per period.
+        per_abs = [m] * (f - 1) + [(j - f + 1) * m] + [j * m] * (cfg.n_periods - 1)
+        assert links == per_abs * cfg.n_abs
+        monkeypatch.undo()
+        assert_same_log(log, oracles.stepwise_trial(cfg, tiny_env, tiny_gcm))
+
+
+class TestFlightContracts:
+    """The two flight contract errors, from the trial and the reference."""
+
+    @pytest.mark.parametrize("trial", [run_trial, oracles.stepwise_trial],
+                             ids=["run_trial", "stepwise"])
+    def test_target_beyond_flight_radius(self, tiny_env, tiny_gcm, monkeypatch, trial):
+        cfg = tiny_cfg(abs_speed=2.0)  # 20 m radius, 40 m cells
+        plan_period_ = sim.plan_period
+        centers = cfg.spec.traversal.centers
+
+        def far_plan(state, gcm, cfg):
+            rec = plan_period_(state, gcm, cfg)
+            far = []
+            for a in state.anchor_cells:
+                d = np.linalg.norm(centers[:, :2] - centers[a - 1, :2], axis=1)
+                d[np.array(far, dtype=int) - 1] = -1.0
+                far.append(int(np.argmax(d)) + 1)
+            return dataclasses.replace(rec, target_cells=tuple(far))
+
+        monkeypatch.setattr(sim, "plan_period", far_plan)
+        with pytest.raises(ContractViolationError,
+                           match="planned target outside the reachable flight radius"):
+            trial(cfg, tiny_env, tiny_gcm)
+
+    @pytest.mark.parametrize("trial", [run_trial, oracles.stepwise_trial],
+                             ids=["run_trial", "stepwise"])
+    def test_flight_ends_short(self, tiny_env, tiny_gcm, monkeypatch, trial):
+        cfg = tiny_cfg(plan_before_start=True)
+        plan_period_ = sim.plan_period
+
+        def moving_plan(state, gcm, cfg):
+            rec = plan_period_(state, gcm, cfg)
+            free = sorted(set(range(1, cfg.spec.traversal.size + 1)) - set(state.anchor_cells))
+            return dataclasses.replace(rec, target_cells=tuple(free[: cfg.n_abs]))
+
+        monkeypatch.setattr(sim, "plan_period", moving_plan)
+        monkeypatch.setattr(sim, "fly_step", lambda current, *_: np.array(current, dtype=float))
+        with pytest.raises(ContractViolationError, match="flight phase ended short of the target"):
+            trial(cfg, tiny_env, tiny_gcm)
+
+
+class TestClampWarnings:
+    def test_low_altitude_trial_warns_from_the_simulator(self):
+        # A 12 m square flown at 5 m: many links fall under the 10 m floor.
+        spec = GridSpec(d1=12.0, d2=12.0, k1=2, k2=2, k1p=2, k2p=2, abs_alt=5.0)
+        params = ChannelParams(abs_alt=5.0, gu_alt=1.0)
+        env = Environment(d1=12.0, d2=12.0, blocks=(), seed=0)
+        cfg = tiny_cfg(spec=spec, channel=params, env=EnvConfig(num_blocks=0, block_width=5.0),
+                       gu_speed=0.5)
+        with pytest.warns(ModelValidityWarning):
+            gcm = build_gcm(env, params, spec)
+        with pytest.warns(ModelValidityWarning) as record:
+            log = run_trial(cfg, env, gcm)
+        assert {r.filename for r in record} == {sim.__file__}
+        # Each grouped call counts its own links once.
+        counted = sum(int(str(r.message).split()[0]) for r in record)
+        d2d = np.linalg.norm(log.abs_positions[1:, :, None, :2] - log.gu_positions[1:, None],
+                             axis=-1)
+        assert counted == int((np.hypot(d2d, 4.0) < 10.0).sum())
+        assert max(int(str(r.message).split()[0]) for r in record) > cfg.n_gus
 
 
 class TestValidateTrialLog:
