@@ -6,8 +6,9 @@ scale fading enters only through the outage probability of a Rician (LoS)
 or Rayleigh (NLoS) envelope, which is a noncentral chi-square CDF. The
 chain is written once: ``link_budget`` gives each link's mean SNR and K,
 ``outage_probability`` its outage, and ``coverage_mask`` the verdict.
-``branch_verdicts`` runs the same chain per distinct link length for both
-LoS bits, without a sightline test.
+``branch_verdict_table`` runs the same chain once per distinct link length
+of a grid of horizontal offsets, for both LoS bits and without a sightline
+test: a map build's table of verdicts.
 """
 
 from __future__ import annotations
@@ -188,20 +189,26 @@ def link_budget(params: ChannelParams, env: Environment, p, qs):
     return np.where(los, snr_los, snr_nlos), np.where(los, k_los, 0.0)
 
 
-def branch_verdicts(params: ChannelParams, p, qs):
-    """Coverage of each link from p were it in LoS, and were it not; two (n,)
-    bool arrays.
+def branch_verdict_table(params: ChannelParams, dx, dy, h_bs: float, h_ut: float):
+    """Coverage of the link with horizontal offset (dx[a], dy[b]) from a
+    transmitter at height h_bs to a receiver at h_ut, were it in LoS and were
+    it not; two (len(dx), len(dy)) bool tables.
 
     Both altitudes are fixed, so a verdict depends only on the link's
     horizontal length and LoS bit: the chain runs once per distinct length.
+    The offsets are receiver minus transmitter, as ``_link_geometry`` takes
+    them, so each length is the float a per-link call computes.
     """
-    d2d, dz, h_bs, h_ut = _link_geometry(p, qs)
-    dist, first, inverse = np.unique(d2d, return_index=True, return_inverse=True)
-    snr_los, snr_nlos, k_los = _branch_budgets(params, dist, dz[first], h_bs, h_ut)
+    d2d = np.hypot(np.asarray(dx, dtype=float)[:, None], np.asarray(dy, dtype=float)[None, :])
+    dist, inverse = np.unique(d2d, return_inverse=True)
+    # One drop per length, laid out as a per-link call lays it out.
+    dz = np.full(dist.shape, h_bs - h_ut)
+    snr_los, snr_nlos, k_los = _branch_budgets(params, dist, dz, h_bs, h_ut)
     p_out = outage_probability(
         params, np.concatenate([snr_los, snr_nlos]), np.concatenate([k_los, np.zeros_like(k_los)])
     )
     covered = p_out < params.outage_threshold
+    inverse = inverse.reshape(d2d.shape)
     return covered[: dist.size][inverse], covered[dist.size :][inverse]
 
 

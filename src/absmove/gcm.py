@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelParams, branch_verdicts, coverage_mask
+from .channel import ChannelParams, branch_verdict_table, coverage_mask
 from .env import Environment, obstructed_mask
 from .errors import ConfigError, GcmFormatError
 
@@ -169,13 +169,23 @@ def nearest_valid_abs_cell(gcm: Gcm, xy) -> int:
     return int(np.argmin(d2)) + 1
 
 
+def _axis_offsets(ground, traversal):
+    """Distinct ground-minus-traversal offsets along one axis, and the index
+    of each (traversal, ground) coordinate pair's offset among them."""
+    offsets = ground[None, :] - traversal[:, None]
+    values, inverse = np.unique(offsets, return_inverse=True)
+    return values, inverse.reshape(offsets.shape)
+
+
 def build_gcm(env: Environment, params: ChannelParams, spec: GridSpec) -> Gcm:
     """Evaluate the full channel chain between all cell-center pairs.
 
     Ground cells are evaluated at the receiver altitude from ``params``; the
-    z = 0 coordinate of a ground cell is only a plane label. Per traversal
-    row, each link takes its NLoS verdict, and ``coverage_mask`` (sightline
-    test included) decides the band of links whose LoS verdict differs.
+    z = 0 coordinate of a ground cell is only a plane label. The chain runs
+    once per map, over the distinct link lengths, for both LoS bits
+    (``branch_verdict_table``). Per traversal row, each link reads its NLoS
+    verdict from that table, and ``coverage_mask`` (sightline test included)
+    decides the band of links whose LoS verdict differs.
     """
     if (env.d1, env.d2) != (spec.d1, spec.d2):
         raise ConfigError(
@@ -190,9 +200,15 @@ def build_gcm(env: Environment, params: ChannelParams, spec: GridSpec) -> Gcm:
     eval_points = spec.ground.centers.copy()
     eval_points[:, 2] = params.gu_alt
     centers = spec.traversal.centers
+    # Cell (i, j) has the x of row i and the y of column j on either plane.
+    dx, inv_x = _axis_offsets(eval_points[:: spec.k2p, 0], centers[:: spec.k2, 0])
+    dy, inv_y = _axis_offsets(eval_points[: spec.k2p, 1], centers[: spec.k2, 1])
+    los_table, nlos_table = branch_verdict_table(params, dx, dy, spec.abs_alt, params.gu_alt)
     z = np.zeros((spec.traversal.size, spec.ground.size), dtype=bool)
     for t in np.flatnonzero(valid):
-        covered_los, covered_nlos = branch_verdicts(params, centers[t], eval_points)
+        i, j = divmod(int(t), spec.k2)
+        row = (inv_x[i][:, None], inv_y[j])
+        covered_los, covered_nlos = los_table[row].ravel(), nlos_table[row].ravel()
         # Only where the two verdicts differ does the LoS bit decide.
         band = covered_los != covered_nlos
         covered_nlos[band] = coverage_mask(params, env, centers[t], eval_points[band])

@@ -12,9 +12,12 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import absmove.cli as cli
+import absmove.gcm as gcm_module
+from absmove import BuildingBlock, ChannelParams, Environment, GridSpec
 from test_cli import write_cfg
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -62,3 +65,23 @@ def test_traced_batch_fires_every_span(tmp_path, tracer, capsys):
     # which planning no longer calls (an open FOUND in CHANGES.md).
     fired = set(tracer.names)
     assert need <= fired, f"spans that never fired: {sorted(need - fired)}"
+
+
+def test_build_calls_the_row_hook_through_gcm(monkeypatch):
+    # bench/run.py samples its calibration inside a map build by replacing
+    # absmove.gcm.coverage_mask, the per-row band call.
+    real = gcm_module.coverage_mask
+    assert callable(real)
+    links = []
+
+    def counted(params, env, p, qs):
+        links.append(len(qs))
+        return real(params, env, p, qs)
+
+    monkeypatch.setattr(gcm_module, "coverage_mask", counted)
+    spec = GridSpec(d1=500.0, d2=500.0, k1=4, k2=4, k1p=5, k2p=5, abs_alt=90.0)
+    env = Environment(d1=500.0, d2=500.0, seed=0,
+                      blocks=(BuildingBlock((250.0, 250.0), 20.0, 60.0),))
+    gcm = gcm_module.build_gcm(env, ChannelParams(), spec)
+    assert len(links) == np.count_nonzero(gcm.abs_cell_valid)
+    assert sum(links) > 0, "empty band: the hook saw no links"

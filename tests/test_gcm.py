@@ -239,10 +239,15 @@ class TestBuild:
             build_gcm(empty_env, ChannelParams(abs_alt=120.0), spec20)
 
 
-def _scene(d: float, k: int, num_blocks: int, seed: int = 0, **channel):
-    env = generate_environment(d, d, num_blocks, 25.0, (30.0, 89.0), seed=seed)
+def _scene(d, k, num_blocks: int, seed: int = 0, **channel):
+    """A generated scene: ``d`` is a side or (d1, d2), ``k`` one cell count
+    for all four axes or (k1, k2, k1p, k2p)."""
+    d1, d2 = (d, d) if np.isscalar(d) else d
+    k1, k2, k1p, k2p = (k,) * 4 if np.isscalar(k) else k
+    env = generate_environment(d1, d2, num_blocks, 25.0, (30.0, 89.0), seed=seed)
     params = ChannelParams(**channel)
-    return env, params, GridSpec(d1=d, d2=d, k1=k, k2=k, k1p=k, k2p=k, abs_alt=params.abs_alt)
+    spec = GridSpec(d1=d1, d2=d2, k1=k1, k2=k2, k1p=k1p, k2p=k2p, abs_alt=params.abs_alt)
+    return env, params, spec
 
 
 def _file_bytes(gcm, path) -> bytes:
@@ -261,6 +266,11 @@ class TestAgainstFullChain:
         pytest.param((500.0, 20, 75, {"outage_threshold": 0.9}), id="eta-0.9"),
         pytest.param((500.0, 20, 75, {"gu_alt": 1.5}), id="breakpoint-above-0"),
         pytest.param((500.0, 20, 75, {"k_min_db": 12.0, "k_max_db": 12.0}), id="flat-k"),
+        # Unequal axes: a transposed or mis-strided verdict table shows here.
+        pytest.param(((600.0, 400.0), (30, 20, 30, 20), 40, {}), id="rect-30x20"),
+        pytest.param(((600.0, 400.0), (12, 8, 30, 20), 40, {}), id="rect-12x8-over-30x20"),
+        pytest.param(((500.0, 300.0), (20, 7, 13, 40), 30, {"gu_alt": 1.5}),
+                     id="rect-20x7-over-13x40"),
     ])
     def test_byte_identical_file(self, tmp_path, scene):
         d, k, num_blocks, channel = scene
