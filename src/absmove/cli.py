@@ -20,13 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    apply_sweep,
-    gcm_cache_key,
-    load_config,
-    parse_experiment,
-    parse_trial_config,
-)
+from .config import gcm_cache_key, load_config, parse_experiment, parse_trial_config
 from .env import Environment, generate_environment
 from .errors import (
     ConfigError,
@@ -145,9 +139,9 @@ def _gcm_for(cfg: dict, tc: TrialConfig, env: Environment, cache_dir: Path | Non
 
 
 def cmd_validate_config(args) -> int:
-    cfg = load_config(args.config)
-    tc = parse_trial_config(cfg)
-    exp = parse_experiment(cfg)
+    exp = parse_experiment(load_config(args.config))
+    # The sizes are those of the first trial the batch runs.
+    tc = parse_trial_config(exp.combos[0][2], solver_name=exp.solvers[0])
     spec = tc.spec
     print(f"config ok: {args.config}")
     print(f"  area {spec.d1:.0f} x {spec.d2:.0f} m, "
@@ -195,17 +189,9 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     cache_dir = None if args.no_gcm_cache else out / "gcm"
 
-    combos: list[tuple[str, object, dict]] = []
-    if exp.sweep_axis is None:
-        combos.append(("base", "", exp.base))
-    else:
-        for value in exp.sweep_values:
-            tag = f"{exp.sweep_axis}={value}"
-            combos.append((tag, value, apply_sweep(exp.base, exp.sweep_axis, value)))
-
     rows: list[dict] = []
     failures: list[dict] = []
-    for tag, value, combo_cfg in combos:
+    for tag, value, combo_cfg in exp.combos:
         shared: dict[int, tuple[Environment, Gcm]] = {}
         for solver in exp.solvers:
             group: list[dict] = []

@@ -196,9 +196,13 @@ def parse_trial_config(
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A batch: seeds x solvers x sweep values over one base scenario."""
+    """A batch: seeds x solvers x sweep values over one base scenario.
 
-    base: dict
+    ``combos`` holds one ``(tag, sweep value, config)`` per sweep value, or
+    ``("base", "", config)`` without a sweep.
+    """
+
+    combos: tuple[tuple[str, object, dict], ...]
     seeds: tuple[int, ...]
     solvers: tuple[str, ...]
     sweep_axis: str | None
@@ -231,15 +235,16 @@ def parse_experiment(cfg: dict) -> ExperimentSpec:
             raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
         if not values:
             raise ConfigError("sweep.values must be nonempty when an axis is set")
-    combos = [cfg] if axis is None else [apply_sweep(cfg, axis, v) for v in values]
-    _once(combos, "experiment.sweep.values", values)
+    combos = (("base", "", cfg),) if axis is None else tuple(
+        (f"{axis}={v}", v, apply_sweep(cfg, axis, v)) for v in values)
+    _once([c for _, _, c in combos], "experiment.sweep.values", values)
     # Parse every solver x sweep value once, so an unknown solver or an
     # impossible combination fails here, before any trial of the batch runs.
-    for combo in combos:
+    for _, _, combo in combos:
         for name in solvers:
             parse_trial_config(combo, solver_name=name)
     return ExperimentSpec(
-        base=cfg,
+        combos=combos,
         seeds=seeds,
         solvers=solvers,
         sweep_axis=axis,

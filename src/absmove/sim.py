@@ -7,14 +7,18 @@ previous period, then a hover/serve phase. Planning for period e is triggered
 that instant; GUs keep moving while the plan is computed, so the measured
 coverage includes that staleness.
 
-Nothing in a trial reads its coverage, and the users never read the fleet,
-so ``run_trial`` runs in three phases: it draws every user path, then flies
-the fleet and plans at the triggers from those paths, then scores both
+A plan reads only the map, the users at its trigger step and the cells the
+previous period flies to, and the users never read the fleet, so
+``run_trial`` runs in four phases: it draws every user path, plans every
+period from those paths, flies the fleet to the plans, then scores both
 coverage modes from the two position arrays. "Simplified" coverage snaps each
 distinct ABS position to its grid cell once and reads the connectivity map
 for all steps at once. "Actual" coverage evaluates the full channel chain at
 the continuous positions, in one ``coverage_mask`` call per run of steps an
 ABS spends at one exact position within one period.
+
+Every solver is one ``SOLVERS`` entry: how it plans, and which trials it
+cannot run.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# kmeans_centroids stays importable here so tools can wrap each planning layer.
+# Planning reaches kmeans_centroids only inside baselines.kmeans_init, so a
+# wrapper on this name never fires; the import stays because bench/spans.py
+# names absmove.sim.kmeans_centroids as a site that must resolve.
 from .baselines import ea_step, exact_optimum, kmeans_centroids, kmeans_init  # noqa: F401
 from .bilp import assemble, feasible_sets
 from .channel import ChannelParams, coverage_mask
@@ -61,16 +67,63 @@ class SolverConfig:
     oracle_branch_and_bound: bool = True
 
     def __post_init__(self) -> None:
-        if self.name not in ("online", "oracle", "kmeans-ea"):
-            raise ConfigError(f"unknown solver {self.name!r}")
+        if self.name not in SOLVERS:
+            raise ConfigError(f"unknown solver {self.name!r}; known: {', '.join(SOLVERS)}")
         if self.duplication < 1:
             raise ConfigError("duplication must be at least 1")
         if self.ea_rounds < 1:
             raise ConfigError("ea_rounds must be at least 1")
+        if self.oracle_cap < 1:
+            raise ConfigError("oracle_cap must be at least 1")
         if self.ea_mutation_radius is not None and self.ea_mutation_radius < 0.0:
             raise ConfigError(
                 f"ea_mutation_radius must be non-negative, got {self.ea_mutation_radius}"
             )
+
+
+# Each entry calls its solver through this module's globals at call time, so
+# a wrapper installed on ``absmove.sim.<name>`` sees every plan.
+def _plan_online(instance, state: PlanState, cfg: TrialConfig):
+    report = solve(instance, duplication=cfg.solver.duplication,
+                   seed=derive_seed(cfg.solver_seed, state.period, 0))
+    return report.placement, report.gap_bound
+
+
+def _plan_oracle(instance, state: PlanState, cfg: TrialConfig):
+    sc = cfg.solver
+    return exact_optimum(instance, sc.oracle_cap, sc.oracle_branch_and_bound), None
+
+
+def _plan_kmeans_ea(instance, state: PlanState, cfg: TrialConfig):
+    sc = cfg.solver
+    start = kmeans_init(instance, state.gu_positions, derive_seed(cfg.solver_seed, state.period, 1))
+    radius = cfg.movement_radius if sc.ea_mutation_radius is None else sc.ea_mutation_radius
+    placement = ea_step(start, instance, rounds=sc.ea_rounds, mutation_radius=radius,
+                        seed=derive_seed(cfg.solver_seed, state.period, 2))
+    return placement, None
+
+
+def _check_kmeans_ea(cfg: TrialConfig) -> None:
+    if cfg.n_gus < cfg.n_abs:
+        raise ConfigError(
+            f"kmeans-ea needs at least one GU per ABS to seed its clusters, "
+            f"got n_gus={cfg.n_gus} < n_abs={cfg.n_abs}"
+        )
+    radius = cfg.solver.ea_mutation_radius
+    if radius is not None and radius > cfg.movement_radius:
+        raise ConfigError(
+            f"ea_mutation_radius {radius} exceeds the movement radius "
+            f"{cfg.movement_radius} (abs_speed * flight_time)"
+        )
+
+
+# name -> (plan(instance, state, cfg) -> (Placement, gap bound or None),
+#          check(cfg) raising ConfigError for a trial the solver cannot run, or None).
+SOLVERS = {
+    "online": (_plan_online, None),
+    "oracle": (_plan_oracle, None),
+    "kmeans-ea": (_plan_kmeans_ea, _check_kmeans_ea),
+}
 
 
 def _check_multiple(name: str, value: float, step: float) -> int:
@@ -128,19 +181,11 @@ class TrialConfig:
             raise ConfigError("total_time must span at least one period")
         if self.n_abs < 1 or self.n_gus < 1:
             raise ConfigError("n_abs and n_gus must be at least 1")
-        if self.solver.name == "kmeans-ea" and self.n_gus < self.n_abs:
-            raise ConfigError(
-                f"kmeans-ea needs at least one GU per ABS to seed its clusters, "
-                f"got n_gus={self.n_gus} < n_abs={self.n_abs}"
-            )
         if self.abs_speed < 0 or self.gu_speed < 0:
             raise ConfigError("speeds must be non-negative")
-        radius = self.solver.ea_mutation_radius
-        if self.solver.name == "kmeans-ea" and radius is not None and radius > self.movement_radius:
-            raise ConfigError(
-                f"ea_mutation_radius {radius} exceeds the movement radius "
-                f"{self.movement_radius} (abs_speed * flight_time)"
-            )
+        check = SOLVERS[self.solver.name][1]
+        if check is not None:
+            check(self)
         if abs(self.spec.abs_alt - self.channel.abs_alt) > 1e-9:
             raise ConfigError(
                 f"grid altitude {self.spec.abs_alt} differs from channel altitude "
@@ -322,29 +367,7 @@ def plan_period(state: PlanState, gcm: Gcm, cfg: TrialConfig) -> PeriodRecord:
     t0 = time.perf_counter()
     pools = feasible_sets(anchor_xy, gcm.spec, gcm.abs_cell_valid, cfg.movement_radius)
     instance = assemble(gcm, pools, state.gu_positions, cfg.weight_multiplicity)
-    sc = cfg.solver
-    bound = None
-    if sc.name == "kmeans-ea":
-        start = kmeans_init(
-            instance, state.gu_positions, derive_seed(cfg.solver_seed, state.period, 1)
-        )
-        radius = cfg.movement_radius if sc.ea_mutation_radius is None else sc.ea_mutation_radius
-        placement = ea_step(
-            start,
-            instance,
-            rounds=sc.ea_rounds,
-            mutation_radius=radius,
-            seed=derive_seed(cfg.solver_seed, state.period, 2),
-        )
-    elif sc.name == "oracle":
-        placement = exact_optimum(instance, sc.oracle_cap, sc.oracle_branch_and_bound)
-    else:
-        report = solve(
-            instance,
-            duplication=sc.duplication,
-            seed=derive_seed(cfg.solver_seed, state.period, 0),
-        )
-        placement, bound = report.placement, report.gap_bound
+    placement, bound = SOLVERS[cfg.solver.name][0](instance, state, cfg)
     elapsed = time.perf_counter() - t0
     return PeriodRecord(
         period=state.period,
@@ -362,14 +385,16 @@ def run_trial(cfg: TrialConfig, environment: Environment, gcm: Gcm) -> TrialLog:
     """Execute one full trial and log both coverage modes every step.
 
     Phase 1 draws every user position, with one ``step_gu`` call per step
-    from the mobility stream, which feeds nothing else. Phase 2 flies the
-    fleet and fires the planning triggers from those positions, with the
-    flight contract checks at the steps where they apply. Phase 3 scores
-    both modes from the two position arrays (``_simplified_cr`` and
-    ``_actual_cr``).
+    from the mobility stream, which feeds nothing else. Phase 2 plans every
+    period in period order: period e plans from the users at its trigger
+    step max(0, (e-1)*J - lead), anchored at the previous period's targets.
+    Triggers never fall as e grows, so this is the order in which they fire.
+    Phase 3 flies the fleet period by period, with the flight contract
+    checks at the steps where they apply. Phase 4 scores both modes from
+    the two position arrays (``_simplified_cr`` and ``_actual_cr``).
     """
     n, m = cfg.n_abs, cfg.n_gus
-    i_total, j_steps = cfg.n_steps, cfg.steps_per_period
+    i_total, j_steps, f_steps = cfg.n_steps, cfg.steps_per_period, cfg.flight_steps
     rng_init = np.random.default_rng([cfg.init_seed])
     rng_mob = np.random.default_rng([cfg.mobility_seed])
 
@@ -386,62 +411,37 @@ def run_trial(cfg: TrialConfig, environment: Environment, gcm: Gcm) -> TrialLog:
     for i in range(1, i_total + 1):
         gu_hist[i] = step_gu(gu_hist[i - 1], environment, cfg.gu_speed, cfg.step, rng_mob)
 
-    # Phase 2: flights and plans. Period e plans at step (e-1)*J - lead
-    # (clamped to 0).
-    triggers: dict[int, list[int]] = {}
-    first_planned = 1 if cfg.plan_before_start else 2
-    for e in range(first_planned, cfg.n_periods + 1):
-        triggers.setdefault(max(0, (e - 1) * j_steps - cfg.lead_steps), []).append(e)
+    # Phase 2: plans. Unless planned before the start, period 1 is the only
+    # unplanned period: the ABSs hold their start cells.
+    records = [] if cfg.plan_before_start else [PeriodRecord(
+        period=1, trigger_step=-1, anchor_cells=start_cells, target_cells=start_cells,
+        planned_value=-1, planning_time_s=0.0, over_budget=False,
+    )]
+    for e in range(len(records) + 1, cfg.n_periods + 1):
+        trigger = max(0, (e - 1) * j_steps - cfg.lead_steps)
+        anchor = records[-1].target_cells if records else start_cells
+        state = PlanState(anchor_cells=anchor, gu_positions=gu_hist[trigger].copy(), period=e)
+        records.append(replace(plan_period(state, gcm, cfg), trigger_step=trigger))
 
-    records: dict[int, PeriodRecord] = {}
-    if not cfg.plan_before_start:
-        # The only unplanned period: the ABSs hold their start cells.
-        records[1] = PeriodRecord(
-            period=1,
-            trigger_step=-1,
-            anchor_cells=start_cells,
-            target_cells=start_cells,
-            planned_value=-1,
-            planning_time_s=0.0,
-            over_budget=False,
-        )
-    # Where the ABSs will sit when the next planned period starts.
-    anchor = start_cells
-
-    def fire_trigger(step_idx: int) -> None:
-        nonlocal anchor
-        for e in sorted(triggers.get(step_idx, [])):
-            state = PlanState(anchor_cells=anchor, gu_positions=gu_hist[step_idx].copy(), period=e)
-            records[e] = replace(plan_period(state, gcm, cfg), trigger_step=step_idx)
-            anchor = records[e].target_cells
-
+    # Phase 3: flights. Period e fills steps (e-1)*J + 1 .. e*J.
     abs_hist = np.empty((i_total + 1, n, 3))
     abs_hist[0] = abs_pos
-    fire_trigger(0)
-
-    for i in range(1, i_total + 1):
-        step_in_period = (i - 1) % j_steps  # 0 on a period's first step
-        if step_in_period == 0:
-            # Every period flies to its record's targets; an unplanned
-            # period's targets are where the ABSs already are.
-            flown = records[(i - 1) // j_steps + 1]
-            flight_target = centers[np.array(flown.target_cells) - 1]
-            far = np.linalg.norm(flight_target[:, :2] - abs_pos[:, :2], axis=1)
-            if np.any(far > cfg.movement_radius * (1.0 + 1e-9)):
-                raise ContractViolationError("planned target outside the reachable flight radius")
-
-        if step_in_period < cfg.flight_steps:
-            time_left = cfg.flight_time - step_in_period * cfg.step
-            abs_pos = fly_step(abs_pos, flight_target, cfg.abs_speed, cfg.step, time_left)
-            if step_in_period == cfg.flight_steps - 1:
+    for first, rec in zip(range(1, i_total + 1, j_steps), records):
+        flight_target = centers[np.array(rec.target_cells) - 1]
+        far = np.linalg.norm(flight_target[:, :2] - abs_pos[:, :2], axis=1)
+        if np.any(far > cfg.movement_radius * (1.0 + 1e-9)):
+            raise ContractViolationError("planned target outside the reachable flight radius")
+        for k in range(f_steps):
+            abs_pos = fly_step(abs_pos, flight_target, cfg.abs_speed, cfg.step,
+                               cfg.flight_time - k * cfg.step)
+            if k == f_steps - 1:
                 if not np.allclose(abs_pos, flight_target, atol=1e-6):
                     raise ContractViolationError("flight phase ended short of the target")
                 abs_pos = flight_target.copy()
+            abs_hist[first + k] = abs_pos
+        abs_hist[first + f_steps : first + j_steps] = abs_pos
 
-        abs_hist[i] = abs_pos
-        fire_trigger(i)
-
-    # Phase 3: scoring. Eq-style placement constraints (inside the area,
+    # Phase 4: scoring. Eq-style placement constraints (inside the area,
     # outside tall footprints) are tallied, not fatal.
     xy = abs_hist[1:, :, :2].reshape(-1, 2)
     h = cfg.channel.abs_alt
@@ -455,7 +455,7 @@ def run_trial(cfg: TrialConfig, environment: Environment, gcm: Gcm) -> TrialLog:
         cr_actual=_actual_cr(cfg, environment, abs_hist[1:], gu_hist[1:]),
         abs_positions=abs_hist,
         gu_positions=gu_hist,
-        periods=tuple(records[e] for e in sorted(records)),
+        periods=tuple(records),
         boundary_violations=int(out_of_area.sum()),
         exclusion_violations=int(obstructed_mask(environment, xy, min_height=h).sum()),
     )

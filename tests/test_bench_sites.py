@@ -17,6 +17,7 @@ import pytest
 
 import absmove.cli as cli
 import absmove.gcm as gcm_module
+import absmove.sim as sim
 from absmove import BuildingBlock, ChannelParams, Environment, GridSpec
 from test_cli import write_cfg
 
@@ -53,7 +54,7 @@ def test_traced_batch_fires_every_span(tmp_path, tracer, capsys):
     cfg = write_cfg(
         tmp_path / "s.yaml",
         environment={"num_blocks": 4},
-        experiment={"solvers": ["online", "oracle", "kmeans-ea"]},
+        experiment={"solvers": list(sim.SOLVERS)},
     )
     out = tmp_path / "run"
     for _ in ("cold", "warm"):

@@ -120,6 +120,7 @@ class TestValidateConfig:
         {"experiment": {"seeds": [-1]}},
         {"options": {"plan_before_start": "x"}},
         {"solver": {"name": None}},
+        {"solver": {"oracle_cap": 0}},
         # Layouts that cannot be drawn, and lists that name a trial twice.
         {"environment": {"num_blocks": 2000}},
         {"environment": {"block_width": 250.0}},
@@ -138,6 +139,21 @@ class TestValidateConfig:
         assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not (out / "trials").exists()
+
+    # validate-config checks the trials run runs: the sweep-expanded configs
+    # with the listed solvers, never the base block's own solver or sizes.
+    @pytest.mark.parametrize("over", [
+        {"solver": {"name": "bogus"}},
+        {"solver": {"name": "kmeans-ea"}, "area": {"d1": 250.0, "d2": 250.0},
+         "fleet": {"n_abs": 3, "n_gus": 2}},
+        {"environment": {"num_blocks": 2000},
+         "experiment": {"sweep": {"axis": "num_blocks", "values": [0, 3]}}},
+    ], ids=repr)
+    def test_validate_config_agrees_with_run(self, tmp_path, capsys, over):
+        cfg = write_cfg(tmp_path / "s.yaml", **over)
+        assert cli.main(["validate-config", str(cfg)]) == 0
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
 
     def test_whole_float_counts_are_accepted(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "s.yaml", grid={"k1": 5.0}, fleet={"n_abs": 2.0})

@@ -20,9 +20,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import absmove.cli as cli  # noqa: E402
+import absmove.sim as sim  # noqa: E402
 from absmove.config import merge_config  # noqa: E402
 
-SOLVERS = ("online", "oracle", "kmeans-ea")
+SOLVERS = list(sim.SOLVERS)
 
 
 @st.composite

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from absmove import ConfigError
+from absmove import ConfigError, SolverConfig
 from absmove.config import (
     DEFAULTS,
     apply_sweep,
@@ -18,6 +18,8 @@ from absmove.config import (
     parse_experiment,
     parse_trial_config,
 )
+
+from absmove.sim import SOLVERS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -272,3 +274,11 @@ def test_readme_scenario_block_lists_the_defaults():
     block = re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
     expected = {k: v for k, v in DEFAULTS.items() if k != "version"}
     assert yaml.safe_load(block) == expected
+
+
+def test_readme_and_unknown_solver_error_name_the_solver_table():
+    line = next(ln for ln in README.read_text().splitlines() if ln.startswith("Solver names:"))
+    assert re.findall(r"`([^`]+)`", line.split(".")[0]) == list(SOLVERS)
+    with pytest.raises(ConfigError) as err:
+        SolverConfig(name="onlin")
+    assert str(err.value) == f"unknown solver 'onlin'; known: {', '.join(SOLVERS)}"

@@ -237,7 +237,7 @@ class TestPlanPeriod:
         assert rec.planned_value >= 0
 
     @pytest.mark.parametrize("wm", [True, False])
-    @pytest.mark.parametrize("solver", ["online", "oracle", "kmeans-ea"])
+    @pytest.mark.parametrize("solver", list(sim.SOLVERS))
     def test_planned_value_is_the_instance_objective(self, tiny_gcm, solver, wm):
         cfg = tiny_cfg(solver=SolverConfig(name=solver, duplication=2, ea_rounds=50),
                        weight_multiplicity=wm)
@@ -322,7 +322,7 @@ class TestRunTrial:
             covered = tiny_gcm.z[np.array(cells) - 1][:, grids - 1].any(axis=0)
             assert covered.mean() == pytest.approx(log.cr_simplified[i], abs=1e-12)
 
-    @pytest.mark.parametrize("solver", ["online", "oracle", "kmeans-ea"])
+    @pytest.mark.parametrize("solver", list(sim.SOLVERS))
     def test_planning_never_builds_the_encoding(self, tiny_env, tiny_gcm, monkeypatch, solver):
         built, assemble_ = [], sim.assemble
 
@@ -401,7 +401,7 @@ class TestAgainstStepwise:
     """``run_trial`` against the interleaved reference loop."""
 
     @pytest.mark.parametrize("before", [False, True])
-    @pytest.mark.parametrize("solver", ["online", "oracle", "kmeans-ea"])
+    @pytest.mark.parametrize("solver", list(sim.SOLVERS))
     def test_tiny_scene(self, tiny_env, tiny_gcm, solver, before):
         cfg = tiny_cfg(solver=SolverConfig(name=solver, duplication=2, ea_rounds=50),
                        plan_before_start=before)
@@ -590,7 +590,7 @@ class TestExports:
         assert lines[1].startswith("1,-1,")
 
     @pytest.mark.parametrize("before", [False, True])
-    @pytest.mark.parametrize("solver", ["online", "oracle", "kmeans-ea"])
+    @pytest.mark.parametrize("solver", list(sim.SOLVERS))
     def test_periods_csv_gap_bound(self, tmp_path, tiny_env, tiny_gcm, solver, before):
         cfg = tiny_cfg(solver=SolverConfig(name=solver, duplication=2, ea_rounds=50),
                        plan_before_start=before)
