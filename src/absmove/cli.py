@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import gcm_cache_key, load_config, parse_experiment, parse_trial_config
+from .config import load_config, parse_experiment
 from .env import Environment, generate_environment
 from .errors import (
     ConfigError,
@@ -108,7 +108,7 @@ def _write_cache_entry(gcm: Gcm, gcm_path: Path, key: str) -> Path:
     return sidecar
 
 
-def _gcm_for(cfg: dict, tc: TrialConfig, env: Environment, cache_dir: Path | None) -> Gcm:
+def _gcm_for(key: str, tc: TrialConfig, env: Environment, cache_dir: Path | None) -> Gcm:
     """Build the connectivity map, or reuse a cache entry with a matching key.
 
     A cache file whose sidecar is absent, unreadable or disagrees with the
@@ -116,7 +116,6 @@ def _gcm_for(cfg: dict, tc: TrialConfig, env: Environment, cache_dir: Path | Non
     """
     if cache_dir is None:
         return build_gcm(env, tc.channel, tc.spec)
-    key = gcm_cache_key(cfg, tc.env_seed)
     gcm_path = cache_dir / f"{key[:16]}.gcm"
     sidecar = Path(str(gcm_path) + ".json")
     if gcm_path.exists():
@@ -141,7 +140,7 @@ def _gcm_for(cfg: dict, tc: TrialConfig, env: Environment, cache_dir: Path | Non
 def cmd_validate_config(args) -> int:
     exp = parse_experiment(load_config(args.config))
     # The sizes are those of the first trial the batch runs.
-    tc = parse_trial_config(exp.combos[0][2], solver_name=exp.solvers[0])
+    tc = exp.trials[0].config
     spec = tc.spec
     print(f"config ok: {args.config}")
     print(f"  area {spec.d1:.0f} x {spec.d2:.0f} m, "
@@ -154,13 +153,13 @@ def cmd_validate_config(args) -> int:
 
 
 def cmd_build_gcm(args) -> int:
-    cfg = load_config(args.config)
-    tc = parse_trial_config(cfg)
-    env = _build_env(tc)
-    gcm = build_gcm(env, tc.channel, tc.spec)
+    # The map of the first trial the batch runs, under the key run caches it by.
+    first = parse_experiment(load_config(args.config)).trials[0]
+    tc = first.config
+    gcm = build_gcm(_build_env(tc), tc.channel, tc.spec)
     out = _out_root(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    sidecar = _write_cache_entry(gcm, out, gcm_cache_key(cfg, tc.env_seed))
+    sidecar = _write_cache_entry(gcm, out, first.gcm_key)
     n_valid = int(gcm.abs_cell_valid.sum())
     print(f"wrote {out} ({n_valid}/{tc.spec.traversal.size} valid cells) and {sidecar}")
     return 0
@@ -183,64 +182,59 @@ def _code_for(exc: Exception) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    exp = parse_experiment(cfg)
+    exp = parse_experiment(load_config(args.config))
     out = _out_root(args.out if args.out is not None else exp.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     cache_dir = None if args.no_gcm_cache else out / "gcm"
 
-    rows: list[dict] = []
+    groups: dict[tuple[str, str], list[dict]] = {}
     failures: list[dict] = []
-    for tag, value, combo_cfg in exp.combos:
-        shared: dict[int, tuple[Environment, Gcm]] = {}
-        for solver in exp.solvers:
-            group: list[dict] = []
-            for seed in exp.seeds:
-                tc = parse_trial_config(combo_cfg, seed=seed, solver_name=solver)
-                trial_dir = out / "trials" / tag / solver / f"seed{seed}"
-                try:
-                    if seed not in shared:
-                        env = _build_env(tc)
-                        shared[seed] = (env, _gcm_for(combo_cfg, tc, env, cache_dir))
-                    env, gcm = shared[seed]
-                    log = run_trial(tc, env, gcm)
-                    validate_trial_log(log, gcm)
-                except Exception as exc:  # noqa: BLE001 - record, then keep going
-                    code = _code_for(exc)
-                    failures.append({
-                        "tag": tag, "solver": solver, "seed": seed, "error": type(exc).__name__,
-                        "code": code, "message": str(exc).replace("\n", " ").replace(",", ";"),
-                    })
-                    continue
-                trial_dir.mkdir(parents=True, exist_ok=True)
-                export_metrics_csv(log, trial_dir / "metrics.csv")
-                export_periods_csv(log, trial_dir / "periods.csv")
-                export_trajectory_json(log, trial_dir / "trajectory.json")
-                write_csv(trial_dir / "blocks.csv",
-                          ("block", "center_x", "center_y", "half_width", "height"),
-                          ((i, *b.center_xy, b.half_width, b.height)
-                           for i, b in enumerate(env.blocks)))
-                meta = {
-                    "tag": tag,
-                    "axis": exp.sweep_axis,
-                    "value": value,
-                    "solver": solver,
-                    "seed": seed,
-                    "n_abs": tc.n_abs,
-                    "n_gus": tc.n_gus,
-                    "acr_simplified": log.acr_simplified,
-                    "acr_actual": log.acr_actual,
-                    "quantization_error": log.acr_simplified - log.acr_actual,
-                    "mean_planning_time_s": log.mean_planning_time,
-                    "boundary_violations": log.boundary_violations,
-                    "exclusion_violations": log.exclusion_violations,
-                    "over_budget_periods": sum(p.over_budget for p in log.periods),
-                }
-                (trial_dir / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
-                group.append(meta)
-            if group:
-                rows.append(_summary_row(group))
+    tag, shared = None, {}
+    for t in exp.trials:
+        if t.tag != tag:  # trials share maps by key within one sweep value
+            tag, shared = t.tag, {}
+        tc, trial_dir = t.config, out / "trials" / t.tag / t.solver / f"seed{t.seed}"
+        try:
+            if t.gcm_key not in shared:
+                env = _build_env(tc)
+                shared[t.gcm_key] = (env, _gcm_for(t.gcm_key, tc, env, cache_dir))
+            env, gcm = shared[t.gcm_key]
+            log = run_trial(tc, env, gcm)
+            validate_trial_log(log, gcm)
+        except Exception as exc:  # noqa: BLE001 - record, then keep going
+            code = _code_for(exc)
+            failures.append({
+                "tag": t.tag, "solver": t.solver, "seed": t.seed, "error": type(exc).__name__,
+                "code": code, "message": str(exc).replace("\n", " ").replace(",", ";"),
+            })
+            continue
+        trial_dir.mkdir(parents=True, exist_ok=True)
+        export_metrics_csv(log, trial_dir / "metrics.csv")
+        export_periods_csv(log, trial_dir / "periods.csv")
+        export_trajectory_json(log, trial_dir / "trajectory.json")
+        write_csv(trial_dir / "blocks.csv",
+                  ("block", "center_x", "center_y", "half_width", "height"),
+                  ((i, *b.center_xy, b.half_width, b.height) for i, b in enumerate(env.blocks)))
+        meta = {
+            "tag": t.tag,
+            "axis": exp.sweep_axis,
+            "value": t.value,
+            "solver": t.solver,
+            "seed": t.seed,
+            "n_abs": tc.n_abs,
+            "n_gus": tc.n_gus,
+            "acr_simplified": log.acr_simplified,
+            "acr_actual": log.acr_actual,
+            "quantization_error": log.acr_simplified - log.acr_actual,
+            "mean_planning_time_s": log.mean_planning_time,
+            "boundary_violations": log.boundary_violations,
+            "exclusion_violations": log.exclusion_violations,
+            "over_budget_periods": sum(p.over_budget for p in log.periods),
+        }
+        (trial_dir / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
+        groups.setdefault((t.tag, t.solver), []).append(meta)
 
+    rows = [_summary_row(group) for group in groups.values()]
     write_csv(out / "summary.csv", _SUMMARY_COLUMNS, (row.values() for row in rows))
     if failures:
         write_csv(out / "failures.csv", list(failures[0]), (f.values() for f in failures))

@@ -43,7 +43,7 @@ def _fields(cls: type, names: str | None = None) -> dict:
 _SECTIONS = {
     "channel": _fields(ChannelParams),
     "environment": _fields(EnvConfig),
-    "timing": _fields(TrialConfig, "total_time period flight_time service_time planning_time step"),
+    "timing": _fields(TrialConfig, "total_time period flight_time planning_time step"),
     "fleet": _fields(TrialConfig, "n_abs n_gus abs_speed gu_speed"),
     "solver": _fields(SolverConfig),
     "options": _fields(TrialConfig, "plan_before_start weight_multiplicity"),
@@ -166,9 +166,10 @@ def parse_trial_config(
     """Build a TrialConfig from a fully merged config mapping.
 
     ``seed`` overrides the file's trial seed; ``solver_name`` swaps the
-    solver while keeping its parameters.
+    solver while keeping its parameters. An overridden key is still checked.
     """
-    trial_seed = _get(cfg, "seed", int) if seed is None else seed
+    file_seed = _get(cfg, "seed", int)
+    trial_seed = file_seed if seed is None else seed
     sec = {name: _section(cfg, name) for name in _SECTIONS}
     if solver_name is not None:
         sec["solver"]["name"] = solver_name
@@ -194,19 +195,30 @@ def parse_trial_config(
         raise ConfigError(str(exc)) from exc
 
 
+class Trial(typing.NamedTuple):
+    """One trial of a batch, parsed once, with the cache key of its map."""
+
+    tag: str
+    value: object
+    solver: str
+    seed: int
+    config: TrialConfig
+    gcm_key: str
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A batch: seeds x solvers x sweep values over one base scenario.
 
-    ``combos`` holds one ``(tag, sweep value, config)`` per sweep value, or
-    ``("base", "", config)`` without a sweep.
+    ``trials`` runs in that order: sweep value, then solver, then seed. A
+    trial's tag is ``f"{axis}={value}"``, or ``"base"`` (value "") without
+    a sweep.
     """
 
-    combos: tuple[tuple[str, object, dict], ...]
+    trials: tuple[Trial, ...]
     seeds: tuple[int, ...]
     solvers: tuple[str, ...]
     sweep_axis: str | None
-    sweep_values: tuple
     output_dir: str
 
 
@@ -238,17 +250,18 @@ def parse_experiment(cfg: dict) -> ExperimentSpec:
     combos = (("base", "", cfg),) if axis is None else tuple(
         (f"{axis}={v}", v, apply_sweep(cfg, axis, v)) for v in values)
     _once([c for _, _, c in combos], "experiment.sweep.values", values)
-    # Parse every solver x sweep value once, so an unknown solver or an
-    # impossible combination fails here, before any trial of the batch runs.
-    for _, _, combo in combos:
-        for name in solvers:
-            parse_trial_config(combo, solver_name=name)
+    # Every trial is parsed here, so an unknown solver or an impossible
+    # combination fails before any trial of the batch runs.
+    trials = tuple(
+        Trial(tag, value, name, seed, tc := parse_trial_config(combo, seed, name),
+              gcm_cache_key(combo, tc.env_seed))
+        for tag, value, combo in combos for name in solvers for seed in seeds
+    )
     return ExperimentSpec(
-        combos=combos,
+        trials=trials,
         seeds=seeds,
         solvers=solvers,
         sweep_axis=axis,
-        sweep_values=values,
         output_dir=_get(cfg, "experiment.output_dir", str),
     )
 

@@ -144,7 +144,6 @@ class TrialConfig:
     total_time: float = 200.0
     period: float = 20.0
     flight_time: float = 10.0
-    service_time: float = 10.0
     planning_time: float = 5.0
     step: float = 1.0
     n_abs: int = 2
@@ -167,11 +166,8 @@ class TrialConfig:
             raise ConfigError(str(exc)) from exc
         if min(self.step, self.period, self.total_time) <= 0:
             raise ConfigError("step, period and total_time must be positive")
-        if abs(self.flight_time + self.service_time - self.period) > 1e-9:
-            raise ConfigError(
-                f"flight_time + service_time must equal period: "
-                f"{self.flight_time} + {self.service_time} != {self.period}"
-            )
+        if not 0 <= self.flight_time <= self.period:
+            raise ConfigError("flight_time must lie in [0, period]")
         if not 0 <= self.planning_time <= self.period:
             raise ConfigError("planning_time must lie in [0, period]")
         _check_multiple("total_time", self.total_time, self.step)
@@ -268,13 +264,19 @@ def derive_seed(*key: int) -> int:
     return int(np.random.SeedSequence([int(k) for k in key]).generate_state(1)[0])
 
 
+def _free_ground(env: Environment, xys: np.ndarray) -> np.ndarray:
+    """True per (k, 2) point that lies in the area and outside every footprint."""
+    inside = ((xys >= 0.0) & (xys <= (env.d1, env.d2))).all(axis=1)
+    return inside & ~obstructed_mask(env, xys)
+
+
 def initial_gu_positions(env: Environment, m: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform draws over the area, rejecting points inside any footprint."""
     out = np.empty((m, 2))
     for i in range(m):
         for _ in range(1000):
             p = rng.uniform((0.0, 0.0), (env.d1, env.d2))
-            if not obstructed_mask(env, p[None, :])[0]:
+            if _free_ground(env, p[None, :])[0]:
                 out[i] = p
                 break
         else:
@@ -298,24 +300,14 @@ def step_gu(
     positions = np.asarray(positions, dtype=float)
     if gu_speed * dt == 0.0:
         return positions.copy()
-    m = len(positions)
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=m)
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=len(positions))
     step_len = gu_speed * dt
-    cand = positions + step_len * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    inside = (
-        (cand[:, 0] >= 0.0) & (cand[:, 0] <= env.d1)
-        & (cand[:, 1] >= 0.0) & (cand[:, 1] <= env.d2)
-    )
-    bad = ~inside
-    bad[inside] = obstructed_mask(env, cand[inside])
-    out = cand.copy()
-    for i in np.flatnonzero(bad):
+    out = positions + step_len * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    for i in np.flatnonzero(~_free_ground(env, out)):
         for _ in range(100):
             t = rng.uniform(0.0, 2.0 * np.pi)
             c = positions[i] + step_len * np.array([np.cos(t), np.sin(t)])
-            if not (0.0 <= c[0] <= env.d1 and 0.0 <= c[1] <= env.d2):
-                continue
-            if not obstructed_mask(env, c[None, :])[0]:
+            if _free_ground(env, c[None, :])[0]:
                 out[i] = c
                 break
         else:

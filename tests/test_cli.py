@@ -72,9 +72,17 @@ class TestValidateConfig:
         err = capsys.readouterr().err
         assert "config error" in err and "cannot parse" in err
 
-    def test_inconsistent_timing_is_config_error(self, tmp_path):
-        cfg = write_cfg(tmp_path / "s.yaml", timing={"flight_time": 3.0})
-        assert cli.main(["validate-config", str(cfg)]) == 2
+    def test_inconsistent_timing_is_config_error(self, tmp_path, capsys):
+        # A flight longer than the period, or negative, leaves no valid
+        # service phase; run must refuse it before any trial starts.
+        for flight_time in (30.0, -10.0):
+            cfg = write_cfg(tmp_path / "s.yaml", timing={"flight_time": flight_time})
+            assert cli.main(["validate-config", str(cfg)]) == 2
+            assert "flight_time" in capsys.readouterr().err
+            out = tmp_path / f"run{flight_time}"
+            assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+            assert not (out / "trials").exists()
+        capsys.readouterr()
 
     def test_kmeans_ea_with_fewer_gus_than_abs_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(
@@ -121,6 +129,8 @@ class TestValidateConfig:
         {"options": {"plan_before_start": "x"}},
         {"solver": {"name": None}},
         {"solver": {"oracle_cap": 0}},
+        # The service phase is derived: period - flight_time.
+        {"timing": {"service_time": 10.0}},
         # Layouts that cannot be drawn, and lists that name a trial twice.
         {"environment": {"num_blocks": 2000}},
         {"environment": {"block_width": 250.0}},
@@ -217,6 +227,26 @@ class TestBuildGcm:
         cfg = write_cfg(tmp_path / "s.yaml")
         assert cli.main(["build-gcm", str(cfg), "maps/rel.gcm"]) == 0
         assert (tmp_path / "root" / "maps" / "rel.gcm").exists()
+
+    def test_base_solver_no_trial_uses_is_ignored(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "s.yaml", solver={"name": "bogus"},
+                        experiment={"solvers": ["online"]})
+        assert cli.main(["validate-config", str(cfg)]) == 0
+        assert cli.main(["build-gcm", str(cfg), str(tmp_path / "m.gcm")]) == 0
+        capsys.readouterr()
+
+    def test_builds_the_map_run_caches(self, tmp_path, capsys):
+        # The first trial's seed decides the map, not the file's own seed.
+        cfg = write_cfg(tmp_path / "s.yaml", seed=7, experiment={"seeds": [3]})
+        built = tmp_path / "m.gcm"
+        assert cli.main(["build-gcm", str(cfg), str(built)]) == 0
+        out = tmp_path / "run"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+        (cached,) = (out / "gcm").glob("*.gcm")
+        key = json.loads((tmp_path / "m.gcm.json").read_text())["key"]
+        assert json.loads(cached.with_suffix(".gcm.json").read_text())["key"] == key
+        assert cached.read_bytes() == built.read_bytes()
+        capsys.readouterr()
 
 
 class TestRun:
@@ -379,7 +409,7 @@ class TestRun:
             return real_run_trial(tc, env, gcm)
 
         cfg = write_cfg(tmp_path / "s.yaml", experiment={"seeds": [0, 1]})
-        first_env_seed = cli.parse_trial_config(cli.load_config(cfg), seed=0).env_seed
+        first_env_seed = cli.parse_experiment(cli.load_config(cfg)).trials[0].config.env_seed
         monkeypatch.setattr(cli, "run_trial", flaky)
         out = tmp_path / "run"
         assert cli.main(["run", str(cfg), "--out", str(out)]) == 1

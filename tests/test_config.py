@@ -142,7 +142,11 @@ class TestParseTrialConfig:
         with pytest.raises(ConfigError):
             parse_trial_config(merge_config({"channel": {"outage_threshold": 0.0}}))
         with pytest.raises(ConfigError):
-            parse_trial_config(merge_config({"timing": {"flight_time": 7.0}}))
+            parse_trial_config(merge_config({"timing": {"flight_time": 7.5}}))
+        with pytest.raises(ConfigError, match="flight_time"):
+            parse_trial_config(merge_config({"timing": {"flight_time": 30.0}}))
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_trial_config(merge_config({"timing": {"service_time": 10.0}}))
         with pytest.raises(ConfigError, match="footprint"):
             parse_trial_config(merge_config({"environment": {"num_blocks": 2000}}))
         with pytest.raises(ConfigError, match="block_width"):
@@ -171,7 +175,8 @@ class TestExperiment:
         with pytest.raises(ConfigError, match="n_gus=2"):
             parse_experiment(merge_config(raw))
         raw["experiment"]["sweep"]["values"] = [5, 3]
-        assert parse_experiment(merge_config(raw)).sweep_values == (5, 3)
+        trials = parse_experiment(merge_config(raw)).trials
+        assert [(t.value, t.config.n_gus) for t in trials] == [(5, 5), (3, 3)]
 
     def test_empty_lists(self):
         with pytest.raises(ConfigError, match="seeds"):

@@ -53,7 +53,6 @@ def tiny_cfg(**kw) -> TrialConfig:
         total_time=60.0,
         period=20.0,
         flight_time=10.0,
-        service_time=10.0,
         planning_time=5.0,
         step=1.0,
         n_abs=2,
@@ -77,8 +76,12 @@ def tiny_gcm(tiny_env):
 
 class TestTrialConfig:
     def test_phase_split_must_cover_period(self):
-        with pytest.raises(ConfigError):
-            tiny_cfg(flight_time=8.0)
+        # The service phase is what the flight leaves of the period.
+        for flight_time in (21.0, -1.0):
+            with pytest.raises(ConfigError, match="flight_time"):
+                tiny_cfg(flight_time=flight_time)
+        tiny_cfg(flight_time=0.0)
+        tiny_cfg(flight_time=20.0)
 
     def test_planning_budget_bounds(self):
         with pytest.raises(ConfigError):
@@ -95,7 +98,7 @@ class TestTrialConfig:
     @pytest.mark.parametrize("timing", [
         {"step": 1e-320},
         {"total_time": 1e-320},
-        {"period": 0.0, "flight_time": 0.0, "service_time": 0.0, "planning_time": 0.0},
+        {"period": 0.0, "flight_time": 0.0, "planning_time": 0.0},
     ])
     def test_degenerate_timing_is_config_error(self, timing):
         with pytest.raises(ConfigError):
