@@ -3,11 +3,12 @@
 Subcommands: validate-config, build-gcm, run, plot-data. Exit codes: 0 on
 success, 1 for an unexpected error, 2 for config problems, 3 for IO and
 file-format problems, 4 for solver failures, 5 for contract violations
-detected in produced logs. ``run`` records a failed trial in failures.csv
-under its code, keeps going and exits with the first failure's code;
-``plot-data`` exits 3 on a malformed file in the run directory. Every CSV
-goes through ``sim.write_csv``. Relative output paths are resolved under
-$ABSMOVE_OUTPUT_ROOT when set.
+detected in produced logs. ``run`` replaces the results an earlier run
+left in its directory but keeps its map cache, gcm/. It records a failed
+trial in failures.csv under its code, keeps going and exits with the first
+failure's code; ``plot-data`` exits 3 on a malformed file in the run
+directory. Every CSV goes through ``sim.write_csv``. Relative output paths
+are resolved under $ABSMOVE_OUTPUT_ROOT when set.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -187,18 +189,24 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     cache_dir = None if args.no_gcm_cache else out / "gcm"
 
+    # A directory holds one run: drop an earlier run's results, keep its maps.
+    for stale in ("trials", "plots"):
+        if (out / stale).exists():
+            shutil.rmtree(out / stale)
+    for stale in ("summary.csv", "failures.csv"):
+        (out / stale).unlink(missing_ok=True)
+
     groups: dict[tuple[str, str], list[dict]] = {}
     failures: list[dict] = []
-    tag, shared = None, {}
-    for t in exp.trials:
-        if t.tag != tag:  # trials share maps by key within one sweep value
-            tag, shared = t.tag, {}
+    # An environment and map live from the first trial with their key to the last.
+    shared, last = {}, {t.gcm_key: i for i, t in enumerate(exp.trials)}
+    for i, t in enumerate(exp.trials):
         tc, trial_dir = t.config, out / "trials" / t.tag / t.solver / f"seed{t.seed}"
         try:
             if t.gcm_key not in shared:
                 env = _build_env(tc)
                 shared[t.gcm_key] = (env, _gcm_for(t.gcm_key, tc, env, cache_dir))
-            env, gcm = shared[t.gcm_key]
+            env, gcm = shared.pop(t.gcm_key) if i == last[t.gcm_key] else shared[t.gcm_key]
             log = run_trial(tc, env, gcm)
             validate_trial_log(log, gcm)
         except Exception as exc:  # noqa: BLE001 - record, then keep going

@@ -106,22 +106,24 @@ def mask(name: str, data: bytes) -> bytes:
 
 def tree_digests(root: Path) -> dict[str, str]:
     """The digest of every file under ``root``, masked, by relative path."""
-    return {p.relative_to(root).as_posix(): hashlib.sha256(mask(p.name, p.read_bytes())).hexdigest()
+    return {p.relative_to(root).as_posix():
+            hashlib.sha256(mask(p.name, p.read_bytes())).hexdigest()
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def _scene(cfg: dict, seed: int, solver: str | None = None):
-    tc = parse_trial_config(cfg, seed=seed, solver_name=solver)
+def _scene(cfg: dict, seed: int):
+    """The environment and map of trial ``seed``."""
+    tc = parse_trial_config(cfg, seed=seed)
     e = tc.env
     env = generate_environment(tc.spec.d1, tc.spec.d2, e.num_blocks, e.block_width,
                                (e.height_low, e.height_high), tc.env_seed)
-    return tc, env, build_gcm(env, tc.channel, tc.spec)
+    return env, build_gcm(env, tc.channel, tc.spec)
 
 
 def family(work: Path) -> dict[str, str]:
     cfg = merge_config(FAMILY)
     for seed in range(3):
-        _, env, gcm = _scene(cfg, seed)
+        env, gcm = _scene(cfg, seed)
         save_gcm(gcm, work / f"seed{seed}.gcm")
         for name in SOLVERS:
             log = run_trial(parse_trial_config(cfg, seed=seed, solver_name=name), env, gcm)
@@ -136,7 +138,7 @@ def family(work: Path) -> dict[str, str]:
 def maps(work: Path) -> dict[str, str]:
     fine = dict(FAMILY, grid={"k1": 40, "k2": 40, "k1p": 40, "k2p": 40})
     for name, override in (("family-12.5m", fine), ("city", {})):
-        _, _, gcm = _scene(merge_config(override), 0)
+        _, gcm = _scene(merge_config(override), 0)
         save_gcm(gcm, work / f"{name}.gcm")
     return tree_digests(work)
 

@@ -1,6 +1,8 @@
 """End-to-end CLI tests: exit codes, artifacts, caching, reproducibility."""
 
+import gc
 import json
+import weakref
 
 import pytest
 import yaml
@@ -434,6 +436,67 @@ class TestRun:
         assert lines[2].startswith("grid_length,25.0,online")
         assert (out / "trials" / "grid_length=50.0" / "online" / "seed0").is_dir()
         assert (out / "trials" / "grid_length=25.0" / "online" / "seed0").is_dir()
+
+    def test_maps_shared_by_key_across_sweep_values(self, tmp_path, monkeypatch):
+        calls = dict.fromkeys(("build_gcm", "load_gcm", "generate_environment"), 0)
+        for name in calls:
+            def counted(*args, _real=getattr(cli, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(cli, name, counted)
+        # A map is dropped after the last trial with its key, so no trial
+        # sees more maps alive than the batch has seeds.
+        maps, alive = [], []
+        real_run_trial = cli.run_trial
+
+        def watched(tc, env, gcm):
+            if not any(ref() is gcm for ref in maps):
+                maps.append(weakref.ref(gcm))
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in maps))
+            return real_run_trial(tc, env, gcm)
+
+        monkeypatch.setattr(cli, "run_trial", watched)
+
+        def run(out, sweep, *flags):
+            cfg = write_cfg(tmp_path / "s.yaml", experiment={"seeds": [0, 1], "sweep": sweep})
+            calls.update(dict.fromkeys(calls, 0))
+            assert cli.main(["run", str(cfg), "--out", str(tmp_path / out), *flags]) == 0
+            return tuple(calls.values())
+
+        speed = {"axis": "gu_speed", "values": [0.0, 1.0, 2.0]}
+        assert run("mem", speed, "--no-gcm-cache") == (2, 0, 2)
+        assert run("cached", speed) == (2, 0, 2)
+        assert run("cached", speed) == (0, 2, 2)
+        grid = {"axis": "grid_length", "values": [50.0, 25.0]}
+        assert run("grid", grid, "--no-gcm-cache") == (4, 0, 4)
+        assert max(alive) == 2
+
+    def test_rerun_replaces_earlier_trials(self, tmp_path):
+        out = tmp_path / "run"
+        for seeds in ([0, 1, 2], [0]):
+            cfg = write_cfg(tmp_path / "s.yaml", experiment={"seeds": seeds})
+            assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+            assert cli.main(["plot-data", str(out)]) == 0
+        assert sorted(p.name for p in (out / "trials" / "base" / "online").iterdir()) == ["seed0"]
+        summary = (out / "summary.csv").read_text().splitlines()
+        acr = (out / "plots" / "acr_by_value.csv").read_text().splitlines()
+        assert summary[1].split(",")[5] == acr[1].split(",")[3] == "1"
+        assert len(list((out / "gcm").glob("*.gcm"))) == 3  # the map cache stays
+
+    def test_clean_rerun_drops_earlier_failures(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = write_cfg(
+            tmp_path / "s.yaml",
+            solver={"oracle_cap": 1, "oracle_branch_and_bound": False},
+            experiment={"solvers": ["oracle"]},
+        )
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 4
+        assert (out / "failures.csv").exists()
+        cfg = write_cfg(tmp_path / "s.yaml")
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+        assert not (out / "failures.csv").exists()
+        capsys.readouterr()
 
 
 class TestPlotData:
