@@ -12,7 +12,8 @@ benchmark's traced nonzero count).
 
 ``feasible_sets`` gives each ABS its pool of reachable cells and ``assemble``
 turns the pools and a GU snapshot into a BilpInstance. Every solver takes
-that instance alone: the pools live on it as ``per_abs_pos``.
+that instance alone: the pools live on it as ``per_abs_pos`` and as the
+cell-by-ABS table ``in_pool``.
 """
 
 from __future__ import annotations
@@ -100,10 +101,10 @@ class BilpInstance:
 
     Column k < n_v is C for grid ``v_ids[k]`` (weight ``weights[k]``); column
     n_v + t is a for traversal cell ``u_ids[t]``. The solvers read ``z_sub``,
-    ``weights``, ``per_abs_pos`` and the cell centres ``u_xy`` directly. The
-    reference encoding ``e``, ``r``, ``l`` and ``d`` (``l`` divided by the
-    variable count, matching the per-variable split of the dual objective)
-    is built on first access only.
+    ``weights``, the pools (``per_abs_pos``, or as one table ``in_pool``) and
+    the cell centres ``u_xy`` directly. The reference encoding ``e``, ``r``,
+    ``l`` and ``d`` (``l`` divided by the variable count, matching the
+    per-variable split of the dual objective) is built on first access only.
     """
 
     n_abs: int
@@ -118,6 +119,14 @@ class BilpInstance:
     def u_xy(self) -> np.ndarray:
         """Horizontal centres of the traversal cells in ``u_ids``, (n_u, 2)."""
         return self.spec.traversal.centers[self.u_ids - 1, :2]
+
+    @cached_property
+    def in_pool(self) -> np.ndarray:
+        """(n_u, n_abs) bool: ``in_pool[t, i]`` when ABS i's pool holds ``u_ids[t]``."""
+        table = np.zeros((self.n_u, self.n_abs), dtype=bool)
+        for i, pos in enumerate(self.per_abs_pos):
+            table[pos, i] = True
+        return table
 
     @property
     def n_v(self) -> int:
@@ -150,8 +159,8 @@ class BilpInstance:
         # Total selected cells <= N.
         put(np.zeros(n_u), n_v + np.arange(n_u), np.ones(n_u))
         # At least one selected cell per ABS, as -sum <= -1.
-        for n, pos in enumerate(self.per_abs_pos):
-            put(np.full(len(pos), 1 + n), n_v + pos, -np.ones(len(pos)))
+        pu, pn = np.nonzero(self.in_pool)
+        put(1 + pn, n_v + pu, -np.ones(len(pu)))
         # Pair rows: z_uv * a_u - C_v <= 0, laid out cell-major.
         base = 1 + n_abs
         put(base + np.arange(n_u * n_v), np.tile(np.arange(n_v), n_u), -np.ones(n_u * n_v))

@@ -196,25 +196,27 @@ def cmd_run(args) -> int:
     for stale in ("summary.csv", "failures.csv"):
         (out / stale).unlink(missing_ok=True)
 
-    groups: dict[tuple[str, str], list[dict]] = {}
-    failures: list[dict] = []
-    # An environment and map live from the first trial with their key to the last.
-    shared, last = {}, {t.gcm_key: i for i, t in enumerate(exp.trials)}
-    for i, t in enumerate(exp.trials):
+    # Trials run one map key at a time, each key at its first trial's place,
+    # so one environment and map are alive at once; a failed build is not
+    # kept. Outcomes are gathered back in the batch's order.
+    first = {t.gcm_key: i for i, t in reversed(list(enumerate(exp.trials)))}
+    outcomes: list[dict] = [{}] * len(exp.trials)
+    key = env = gcm = None
+    for i, t in sorted(enumerate(exp.trials), key=lambda it: first[it[1].gcm_key]):
         tc, trial_dir = t.config, out / "trials" / t.tag / t.solver / f"seed{t.seed}"
         try:
-            if t.gcm_key not in shared:
+            if key != t.gcm_key:
+                key = env = gcm = None
                 env = _build_env(tc)
-                shared[t.gcm_key] = (env, _gcm_for(t.gcm_key, tc, env, cache_dir))
-            env, gcm = shared.pop(t.gcm_key) if i == last[t.gcm_key] else shared[t.gcm_key]
+                gcm = _gcm_for(t.gcm_key, tc, env, cache_dir)
+                key = t.gcm_key
             log = run_trial(tc, env, gcm)
             validate_trial_log(log, gcm)
         except Exception as exc:  # noqa: BLE001 - record, then keep going
-            code = _code_for(exc)
-            failures.append({
+            outcomes[i] = {
                 "tag": t.tag, "solver": t.solver, "seed": t.seed, "error": type(exc).__name__,
-                "code": code, "message": str(exc).replace("\n", " ").replace(",", ";"),
-            })
+                "code": _code_for(exc), "message": str(exc).replace("\n", " ").replace(",", ";"),
+            }
             continue
         trial_dir.mkdir(parents=True, exist_ok=True)
         export_metrics_csv(log, trial_dir / "metrics.csv")
@@ -240,8 +242,13 @@ def cmd_run(args) -> int:
             "over_budget_periods": sum(p.over_budget for p in log.periods),
         }
         (trial_dir / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
-        groups.setdefault((t.tag, t.solver), []).append(meta)
+        outcomes[i] = meta
 
+    failures = [o for o in outcomes if "error" in o]
+    groups: dict[tuple[str, str], list[dict]] = {}
+    for meta in outcomes:
+        if "error" not in meta:
+            groups.setdefault((meta["tag"], meta["solver"]), []).append(meta)
     rows = [_summary_row(group) for group in groups.values()]
     write_csv(out / "summary.csv", _SUMMARY_COLUMNS, (row.values() for row in rows))
     if failures:

@@ -72,25 +72,8 @@ def gap_bound(instance: BilpInstance, duplication: int) -> float:
 _LOOKAHEAD = 128
 
 
-def _pass_tables(instance: BilpInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Head-row entries of each a column and its pool-membership count.
-
-    ``touch[t]`` holds +1 on the total row and -1 on the row of every ABS
-    whose pool holds cell t; ``members[t]`` counts those ABSs. Both depend
-    on the instance alone, so every restart of a solve shares them.
-    """
-    touch = np.zeros((instance.n_u, 1 + instance.n_abs), dtype=np.int64)
-    touch[:, 0] = 1
-    for n, pos in enumerate(instance.per_abs_pos):
-        touch[pos, 1 + n] = -1
-    return touch, -touch[:, 1:].sum(axis=1)
-
-
 def _greedy_pass(
-    instance: BilpInstance,
-    rng: np.random.Generator,
-    track_dual: bool,
-    tables: tuple[np.ndarray, np.ndarray] | None = None,
+    instance: BilpInstance, rng: np.random.Generator, track_dual: bool
 ) -> tuple[np.ndarray, list[float]]:
     """One randomized fixing pass; returns the binary x and dual trace.
 
@@ -98,8 +81,9 @@ def _greedy_pass(
     reward beats its price against the row multipliers y, and y then takes
     one projected subgradient step of size alpha = 1/sqrt(n_cols). y is
     held exactly in integer units of alpha / n_cols: a step moves the total
-    row by -N and each ABS row by +1, a take moves the rows by n_cols times
-    E's entries, and pair and cover rows only ever hold 0 or n_cols.
+    row by -N and each ABS row by +1, a take of a_t moves the total row by
+    +n_cols and the row of each ABS whose pool holds t (``in_pool[t]``) by
+    -n_cols, and pair and cover rows only ever hold 0 or n_cols.
 
     C_v's price is never positive (only C_v raises its cover row), so every
     C column is taken. An event is a taken a-column. Between two events
@@ -107,16 +91,17 @@ def _greedy_pass(
     the total row is max(h0 - N*k, 0), each ABS row is h_n + k, and a
     grid's cover row is raised when it was raised at the segment start or
     its C column has come since. a_t's pair rows are still 0 when it is
-    priced, so its price is the total row minus its ABS rows minus n_cols
-    per grid it covers whose cover row is raised; a_t is taken when that
-    is negative. The pass prices the next ``_LOOKAHEAD`` columns from the
-    closed form in one vector step, jumps to the first one taken, applies
-    that take and starts the next segment after it. ``track_dual``
-    rebuilds every iterate y from the same closed form.
+    priced, so its price is the total row minus the rows of the ABSs whose
+    pool holds t, minus n_cols per grid it covers whose cover row is
+    raised; a_t is taken when that is negative. The pass prices the next
+    ``_LOOKAHEAD`` columns from the closed form in one vector step, jumps
+    to the first one taken, applies that take and starts the next segment
+    after it. ``track_dual`` rebuilds every iterate y from the same closed
+    form.
     """
     n_v, n_u, n_cols, n_abs = instance.n_v, instance.n_u, instance.n_cols, instance.n_abs
-    touch, members = _pass_tables(instance) if tables is None else tables
-    z = instance.z_sub
+    z, in_pool = instance.z_sub, instance.in_pool
+    members = in_pool.sum(axis=1)
     order = rng.permutation(n_cols)
     at = np.empty(n_cols, dtype=np.int64)
     at[order] = np.arange(n_cols)
@@ -156,7 +141,7 @@ def _greedy_pass(
         k = pos - s
         price = (
             np.maximum(head[0] - n_abs * k, 0)
-            + touch[t, 1:] @ head[1:] - members[t] * k
+            - in_pool[t] @ head[1:] - members[t] * k
             - n_cols * (z[t] & (raised_from < pos[:, None])).sum(axis=1)
         )
         hit = np.flatnonzero(price < 0)
@@ -170,7 +155,9 @@ def _greedy_pass(
         s = p
         if hit.size:
             u = int(t[hit[0]])
-            head += n_cols * touch[u] + drift
+            head[0] += n_cols
+            head[1:] -= n_cols * in_pool[u]
+            head += drift
             np.maximum(head, 0, out=head)
             vs = np.flatnonzero(z[u])
             raised_from[vs[raised_from[vs] < p]] = n_cols
@@ -187,15 +174,20 @@ def decode_and_repair(x: np.ndarray, instance: BilpInstance) -> Placement:
 
     Selected cells beyond the ABS budget are dropped one at a time, always
     the one whose removal costs the least coverage (recomputed after each
-    drop). The survivors are then matched to ABSs that can reach them, and
-    any ABS left without a cell receives the reachable unused cell with the
-    best marginal gain, falling back to an augmenting-path reassignment when
-    its whole pool is taken.
+    drop). The survivors are then matched to ABSs that can reach them, as
+    many as a matching can keep. Each ABS left without a cell, in index
+    order, takes the free cell of its pool with the best marginal gain (the
+    smaller id on ties). When every cell of its pool is held, a free cell is
+    routed to it along an augmenting path instead, trying the free cells in
+    id order and keeping the other cell-less ABSs out of the path. With no
+    such path no distinct assignment exists, and InfeasibleSetError is
+    raised.
     """
     x = np.asarray(x)
     n = instance.n_abs
     z = instance.z_sub
     w = instance.weights
+    in_pool = instance.in_pool
     selected = list(np.flatnonzero(x[instance.n_v:] != 0))
 
     if len(selected) > n:
@@ -208,72 +200,41 @@ def decode_and_repair(x: np.ndarray, instance: BilpInstance) -> Placement:
             cnt -= z[selected[drop]]
             selected.pop(drop)
 
-    pools = [set(p.tolist()) for p in instance.per_abs_pos]
     assign: list[int | None] = [None] * n
-    owner: dict[int, int] = {}
 
-    def try_assign(i: int, cell: int, visited: set[int]) -> bool:
-        # Kuhn augmenting path: free cell, or evict an owner that can move.
-        if cell in visited:
-            return False
-        visited.add(cell)
-        holder = owner.get(cell)
-        if holder is None:
-            assign[i], owner[cell] = cell, i
-            return True
-        for alt in sorted(pools[holder]):
-            if alt not in owner and try_assign(holder, alt, visited):
-                assign[i], owner[cell] = cell, i
-                return True
-        for alt in sorted(pools[holder]):
-            if alt in owner and try_assign(holder, alt, visited):
-                assign[i], owner[cell] = cell, i
-                return True
-        return False
-
-    def try_place(cell: int, visited: set[int]) -> bool:
-        # Kuhn from the cell side: claim a reachable ABS, relocating the
-        # cell it already holds when possible.
-        for i in range(n):
-            if cell in pools[i] and i not in visited:
-                visited.add(i)
-                held = assign[i]
-                if held is None or try_place(held, visited):
-                    assign[i], owner[cell] = cell, i
+    def seat(cell: int, tried: set[int]) -> bool:
+        # Kuhn augmenting path from the cell side: claim a reachable ABS in
+        # index order, moving the cell it holds on to another ABS if need be.
+        for i in np.flatnonzero(in_pool[cell]):
+            if i not in tried:
+                tried.add(i)
+                if assign[i] is None or seat(assign[i], tried):
+                    assign[i] = cell
                     return True
         return False
 
     # Keep as many solver-selected cells as possible; matching (rather than
     # first-fit) makes an already-feasible selection survive unchanged.
     for cell in selected:
-        try_place(cell, set())
+        seat(cell, set())
 
     for i in range(n):
         if assign[i] is not None:
             continue
-        free = sorted(c for c in pools[i] if c not in owner)
-        if free:
-            kept = [c for c in assign if c is not None]
-            covered = z[np.array(kept, dtype=int)].any(axis=0) if kept else np.zeros(len(w), bool)
-            gains = (z[np.array(free, dtype=int)] & ~covered) @ w
-            best = max(range(len(free)), key=lambda t: (gains[t], -instance.u_ids[free[t]]))
-            cell = free[best]
-            assign[i], owner[cell] = cell, i
-        else:
-            ok = False
-            for cell in sorted(pools[i]):
-                if try_assign(i, cell, set()):
-                    ok = True
-                    break
-            if not ok:
-                raise InfeasibleSetError(
-                    f"cannot assign distinct cells to all {n} ABSs; "
-                    f"pool union is too small"
-                )
+        held = np.zeros(instance.n_u, dtype=bool)
+        held[[c for c in assign if c is not None]] = True
+        free = np.flatnonzero(in_pool[:, i] & ~held)
+        if free.size:
+            gains = (z[free] & ~z[held].any(axis=0)) @ w
+            assign[i] = int(free[np.argmax(gains)])
+            continue
+        idle = {j for j in range(i + 1, n) if assign[j] is None}
+        if not any(seat(cell, set(idle)) for cell in np.flatnonzero(~held)):
+            raise InfeasibleSetError(
+                f"cannot assign distinct cells to all {n} ABSs; pool union is too small"
+            )
 
-    final = [c for c in assign if c is not None]
-    cells = instance.u_ids[np.array(final, dtype=int)]
-    return make_placement(cells, covered_weight(z, final, w))
+    return make_placement(instance.u_ids[assign], covered_weight(z, assign, w))
 
 
 def solve(
@@ -284,9 +245,8 @@ def solve(
 ) -> SolverReport:
     """Best-of-K randomized greedy solve of the placement instance.
 
-    Each restart is one event-driven fixing pass followed by repair; the
-    passes share the instance's head-row tables, built once here. Restart k
-    draws its column order from default_rng([seed, k]), so raising
+    Each restart is one event-driven fixing pass followed by repair.
+    Restart k draws its column order from default_rng([seed, k]), so raising
     ``duplication`` with the same seed reruns the exact same first restarts
     and can only improve the returned coverage.
     """
@@ -296,10 +256,9 @@ def solve(
     best_k = 0
     values: list[int] = []
     traces: list[tuple[float, ...]] = []
-    tables = _pass_tables(instance)
     for k in range(duplication):
         rng = np.random.default_rng([seed, k])
-        x, trace = _greedy_pass(instance, rng, track_dual, tables)
+        x, trace = _greedy_pass(instance, rng, track_dual)
         placement = decode_and_repair(x, instance)
         values.append(placement.coverage_value)
         if track_dual:

@@ -108,6 +108,13 @@ class TestAssembleProperties:
         expect = [inst.spec.traversal.center(int(u))[:2] for u in inst.u_ids]
         assert np.array_equal(inst.u_xy, expect)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pool_table_matches_positions(self, seed):
+        _, _, _, inst = random_instance(seed, n_abs=1 + seed % 3, shared_pools=bool(seed & 1))
+        assert inst.in_pool.shape == (inst.n_u, inst.n_abs)
+        for i, pos in enumerate(inst.per_abs_pos):
+            assert np.array_equal(np.flatnonzero(inst.in_pool[:, i]), np.sort(pos))
+
     def test_multiplicity_weights(self, spec20, empty_gcm):
         gus = np.array([[10.0, 10.0], [11.0, 11.0], [12.0, 10.5], [400.0, 400.0]])
         pools = feasible_sets([(250.0, 250.0)], spec20, empty_gcm.abs_cell_valid, radius=1000.0)

@@ -444,8 +444,8 @@ class TestRun:
                 calls[_name] += 1
                 return _real(*args)
             monkeypatch.setattr(cli, name, counted)
-        # A map is dropped after the last trial with its key, so no trial
-        # sees more maps alive than the batch has seeds.
+        # Trials run one map key at a time, so no trial sees a second map
+        # alive.
         maps, alive = [], []
         real_run_trial = cli.run_trial
 
@@ -470,7 +470,7 @@ class TestRun:
         assert run("cached", speed) == (0, 2, 2)
         grid = {"axis": "grid_length", "values": [50.0, 25.0]}
         assert run("grid", grid, "--no-gcm-cache") == (4, 0, 4)
-        assert max(alive) == 2
+        assert max(alive) == 1
 
     def test_rerun_replaces_earlier_trials(self, tmp_path):
         out = tmp_path / "run"

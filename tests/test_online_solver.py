@@ -1,5 +1,6 @@
 """Tests for the randomized greedy solver, its dual bounds, and the repair."""
 
+import itertools
 import math
 
 import numpy as np
@@ -31,6 +32,21 @@ def x_for_cells(inst, cells):
     x = np.zeros(inst.n_cols, dtype=np.int8)
     x[inst.n_v + inst.positions_of_cells(cells)] = 1
     return x
+
+
+def tight_pool_instance(seed):
+    """N = 2..5 ABSs over 9 cells with pools of 1-3 cells, random coverage,
+    and a random selection of at most N cells; distinct cells may not exist."""
+    rng = np.random.default_rng(seed)
+    spec = GridSpec(d1=100.0, d2=100.0, k1=3, k2=3, k1p=3, k2p=3, abs_alt=90.0)
+    gcm = synth_gcm(spec, rng.random((9, 9)) < 0.35)
+    n = int(rng.integers(2, 6))
+    pools = tuple(np.sort(rng.choice(9, size=int(rng.integers(1, 4)), replace=False) + 1)
+                  for _ in range(n))
+    gu = spec.ground.centers[rng.integers(0, 9, size=6), :2]
+    inst = assemble(gcm, pools, gu)
+    picked = rng.choice(inst.u_ids, size=int(rng.integers(0, min(n, inst.n_u) + 1)), replace=False)
+    return gcm, pools, gu, inst, set(picked.tolist())
 
 
 def dominant_cell_setup(n_gus=3):
@@ -170,6 +186,43 @@ class TestDecodeAndRepair:
         placement = decode_and_repair(x_for_cells(inst, [2]), inst)
         assert sorted(placement.abs_cells) == [1, 2]
         assert placement.abs_cells[1] == 2
+
+    def test_held_pool_routes_a_free_cell_past_idle_abs(self):
+        # ABS 0 keeps the selected cell 1, the whole pool of ABS 1. Free
+        # cell 2 reaches only ABS 2, which holds no cell yet and stays out of
+        # the path; free cell 3 moves ABS 0 on and frees cell 1 for ABS 1.
+        spec = GridSpec(d1=100.0, d2=100.0, k1=2, k2=2, k1p=2, k2p=2, abs_alt=90.0)
+        gcm = synth_gcm(spec, np.zeros((4, 4), dtype=bool))
+        pools = tuple(np.array(p, dtype=np.int64) for p in ([1, 3], [1], [2, 3]))
+        inst = assemble(gcm, pools, spec.ground.centers[:1, :2])
+        placement = decode_and_repair(x_for_cells(inst, [1]), inst)
+        assert placement.abs_cells == (3, 1, 2)
+
+    @pytest.mark.parametrize("block", range(8))
+    def test_tight_pools_against_enumeration(self, block):
+        # Of these 800 instances 51 have no distinct assignment and 86 more
+        # reach the held-pool fallback, 83 of them with N >= 3.
+        for seed in range(100 * block, 100 * block + 100):
+            gcm, pools, gu, inst, picked = tight_pool_instance(seed)
+            pools = [set(p.tolist()) for p in pools]
+            feasible = any(len(set(c)) == len(c) for c in itertools.product(*pools))
+            if not feasible:
+                with pytest.raises(InfeasibleSetError):
+                    decode_and_repair(x_for_cells(inst, sorted(picked)), inst)
+                continue
+            placement = decode_and_repair(x_for_cells(inst, sorted(picked)), inst)
+            cells = placement.abs_cells
+            assert all(c in pool for c, pool in zip(cells, pools))
+            assert placement.coverage_value == evaluate_placement(gcm, cells, gu)
+            # Every selected cell a matching can keep is kept.
+            options = [[c for c in pool if c in picked] + [None] for pool in pools]
+            matched = max(
+                len(kept) for kept in (
+                    [c for c in choice if c is not None]
+                    for choice in itertools.product(*options)
+                ) if len(set(kept)) == len(kept)
+            )
+            assert len(picked & set(cells)) == matched
 
 
 class TestSolve:
