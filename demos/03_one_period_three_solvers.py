@@ -16,7 +16,7 @@ from absmove import (
     feasible_sets,
     generate_environment,
 )
-from absmove.baselines import ea_step, exact_optimum, kmeans_init
+from absmove.baselines import ea_step, exact_optimum, kmeans_centroids, kmeans_init
 from absmove.online_solver import solve
 
 N_ABS = 2
@@ -59,7 +59,7 @@ def main() -> None:
           f"in {t_plain * 1e3:6.1f} ms  cells {plain.abs_cells}")
 
     t0 = time.perf_counter()
-    seeded = kmeans_init(instance, gu_positions, seed=1)
+    seeded = kmeans_init(instance, kmeans_centroids(gu_positions, instance.n_abs, seed=1))
     polished = ea_step(seeded, instance, rounds=3000, mutation_radius=25.0, seed=1)
     t_ea = time.perf_counter() - t0
     print(f"k-means + mutation:   covers {polished.coverage_value}/{N_GUS} "

@@ -119,13 +119,12 @@ def kmeans_centroids(gu_positions, n: int, seed: int = 0) -> np.ndarray:
     return centroids
 
 
-def kmeans_init(instance: BilpInstance, gu_positions, seed: int = 0) -> Placement:
-    """Snap K-means centroids of the GU cloud to distinct reachable cells.
+def kmeans_init(instance: BilpInstance, centroids) -> Placement:
+    """Snap per-ABS centroids, from ``kmeans_centroids``, to distinct cells.
 
     Centroid i takes the cell of ABS i's pool nearest to it that no earlier
     centroid took; the start is scored on the instance's objective.
     """
-    centroids = kmeans_centroids(gu_positions, instance.n_abs, seed)
     chosen: list[int] = []
     for i, (c, pool) in enumerate(zip(centroids, instance.per_abs_pos)):
         d = np.hypot(*(instance.u_xy[pool] - c).T)
@@ -182,9 +181,6 @@ def ea_step(
                 if pick not in cand:
                     pos = pick
                     break
-            if pos in cand:
-                # Distinctness could not be restored; keep the input cell.
-                pos = base[i]
             if pos in cand:
                 continue
             cand.append(pos)

@@ -72,18 +72,16 @@ def gap_bound(instance: BilpInstance, duplication: int) -> float:
 _LOOKAHEAD = 128
 
 
-def _greedy_pass(
-    instance: BilpInstance, rng: np.random.Generator, track_dual: bool
-) -> tuple[np.ndarray, list[float]]:
-    """One randomized fixing pass; returns the binary x and dual trace.
+def _greedy_pass(instance: BilpInstance, order: np.ndarray) -> np.ndarray:
+    """One fixing pass over the columns in ``order``; returns the binary x.
 
-    The columns are visited in a random order. Each is taken when its
-    reward beats its price against the row multipliers y, and y then takes
-    one projected subgradient step of size alpha = 1/sqrt(n_cols). y is
-    held exactly in integer units of alpha / n_cols: a step moves the total
-    row by -N and each ABS row by +1, a take of a_t moves the total row by
-    +n_cols and the row of each ABS whose pool holds t (``in_pool[t]``) by
-    -n_cols, and pair and cover rows only ever hold 0 or n_cols.
+    Each column is taken when its reward beats its price against the row
+    multipliers y, and y then takes one projected subgradient step of size
+    alpha = 1/sqrt(n_cols). y is held exactly in integer units of
+    alpha / n_cols: a step moves the total row by -N and each ABS row by +1,
+    a take of a_t moves the total row by +n_cols and the row of each ABS
+    whose pool holds t (``in_pool[t]``) by -n_cols, and pair and cover rows
+    only ever hold 0 or n_cols.
 
     C_v's price is never positive (only C_v raises its cover row), so every
     C column is taken. An event is a taken a-column. Between two events
@@ -96,43 +94,20 @@ def _greedy_pass(
     raised; a_t is taken when that is negative. The pass prices the next
     ``_LOOKAHEAD`` columns from the closed form in one vector step, jumps
     to the first one taken, applies that take and starts the next segment
-    after it. ``track_dual`` rebuilds every iterate y from the same closed
-    form.
+    after it.
     """
-    n_v, n_u, n_cols, n_abs = instance.n_v, instance.n_u, instance.n_cols, instance.n_abs
+    n_v, n_cols, n_abs = instance.n_v, instance.n_cols, instance.n_abs
     z, in_pool = instance.z_sub, instance.in_pool
     members = in_pool.sum(axis=1)
-    order = rng.permutation(n_cols)
     at = np.empty(n_cols, dtype=np.int64)
     at[order] = np.arange(n_cols)
     # Grid v's cover row is raised after every step from raised_from[v] on;
     # n_cols once a take has lowered it after its C column came.
     raised_from = at[:n_v].copy()
-    # Position of each a-column's take, n_cols if none; read by the trace.
-    taken_at = np.full(n_u, n_cols, dtype=np.int64)
     head = np.zeros(1 + n_abs, dtype=np.int64)
     drift = np.array([-n_abs] + [1] * n_abs, dtype=np.int64)
     x = np.zeros(n_cols, dtype=np.int8)
     x[:n_v] = 1
-    trace: list[float] = []
-
-    def record(stop: int) -> None:
-        # The iterates after steps len(trace)..stop-1, step q being
-        # q - s + 1 steps into the segment that starts at s with state head.
-        alpha = 1.0 / math.sqrt(n_cols)
-        c_at = at[:n_v]
-        for q in range(len(trace), stop):
-            k = q - s + 1
-            taken = taken_at[:, None] <= q
-            lowered = (taken_at[:, None] < c_at) & (c_at <= q)
-            y = np.concatenate([
-                [max(head[0] - n_abs * k, 0)],
-                head[1:] + k,
-                n_cols * (z & taken & ~lowered).ravel(),
-                n_cols * (raised_from <= q),
-            ])
-            trace.append(dual_objective(instance, y * alpha / n_cols))
-
     s = 0
     while s < n_cols:
         cols = order[s:s + _LOOKAHEAD]
@@ -148,8 +123,6 @@ def _greedy_pass(
         # Every column before p is left out; p is taken unless the window
         # ran out first.
         p = int(pos[hit[0]]) if hit.size else s + len(cols)
-        if track_dual:
-            record(p)
         head[0] = max(head[0] - n_abs * (p - s), 0)
         head[1:] += p - s
         s = p
@@ -161,12 +134,29 @@ def _greedy_pass(
             np.maximum(head, 0, out=head)
             vs = np.flatnonzero(z[u])
             raised_from[vs[raised_from[vs] < p]] = n_cols
-            taken_at[u] = p
             x[n_v + u] = 1
             s = p + 1
-            if track_dual:
-                record(s)
-    return x, trace
+    return x
+
+
+def _dual_trace(instance: BilpInstance, order: np.ndarray, x: np.ndarray) -> tuple[float, ...]:
+    """The pass's dual objective after every column, replayed over E: y, in
+    integer units of alpha / n_cols, gains n_cols times column j when x[j],
+    steps by -l and is projected onto y >= 0."""
+    e, n_cols = instance.e, instance.n_cols
+    data = n_cols * e.data.astype(np.int64)
+    alpha = 1.0 / math.sqrt(n_cols)
+    step = instance.l.astype(np.int64)
+    y = np.zeros(instance.n_rows, dtype=np.int64)
+    trace = []
+    for j in order:
+        if x[j]:
+            col = slice(e.indptr[j], e.indptr[j + 1])
+            y[e.indices[col]] += data[col]
+        y -= step
+        np.maximum(y, 0, out=y)
+        trace.append(dual_objective(instance, y * alpha / n_cols))
+    return tuple(trace)
 
 
 def decode_and_repair(x: np.ndarray, instance: BilpInstance) -> Placement:
@@ -178,10 +168,10 @@ def decode_and_repair(x: np.ndarray, instance: BilpInstance) -> Placement:
     many as a matching can keep. Each ABS left without a cell, in index
     order, takes the free cell of its pool with the best marginal gain (the
     smaller id on ties). When every cell of its pool is held, a free cell is
-    routed to it along an augmenting path instead, trying the free cells in
-    id order and keeping the other cell-less ABSs out of the path. With no
-    such path no distinct assignment exists, and InfeasibleSetError is
-    raised.
+    routed to it along an augmenting path instead, trying the free cells by
+    marginal gain (highest first, the smaller id on ties) and keeping the
+    other cell-less ABSs out of the path. With no such path no distinct
+    assignment exists, and InfeasibleSetError is raised.
     """
     x = np.asarray(x)
     n = instance.n_abs
@@ -223,13 +213,16 @@ def decode_and_repair(x: np.ndarray, instance: BilpInstance) -> Placement:
             continue
         held = np.zeros(instance.n_u, dtype=bool)
         held[[c for c in assign if c is not None]] = True
-        free = np.flatnonzero(in_pool[:, i] & ~held)
-        if free.size:
-            gains = (z[free] & ~z[held].any(axis=0)) @ w
+        own = in_pool[:, i] & ~held
+        free = np.flatnonzero(own if own.any() else ~held)
+        gains = (z[free] & ~z[held].any(axis=0)) @ w
+        if own.any():
             assign[i] = int(free[np.argmax(gains)])
             continue
+        # A path grows the held set by exactly the routed cell, so the first
+        # routable cell by gain is the best one.
         idle = {j for j in range(i + 1, n) if assign[j] is None}
-        if not any(seat(cell, set(idle)) for cell in np.flatnonzero(~held)):
+        if not any(seat(int(c), set(idle)) for c in free[np.argsort(-gains, kind="stable")]):
             raise InfeasibleSetError(
                 f"cannot assign distinct cells to all {n} ABSs; pool union is too small"
             )
@@ -257,12 +250,12 @@ def solve(
     values: list[int] = []
     traces: list[tuple[float, ...]] = []
     for k in range(duplication):
-        rng = np.random.default_rng([seed, k])
-        x, trace = _greedy_pass(instance, rng, track_dual)
+        order = np.random.default_rng([seed, k]).permutation(instance.n_cols)
+        x = _greedy_pass(instance, order)
         placement = decode_and_repair(x, instance)
         values.append(placement.coverage_value)
         if track_dual:
-            traces.append(tuple(trace))
+            traces.append(_dual_trace(instance, order, x))
         if best is None or placement.coverage_value > best.coverage_value:
             best, best_k = placement, k
     assert best is not None

@@ -30,10 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# Planning reaches kmeans_centroids only inside baselines.kmeans_init, so a
-# wrapper on this name never fires; the import stays because bench/spans.py
-# names absmove.sim.kmeans_centroids as a site that must resolve.
-from .baselines import ea_step, exact_optimum, kmeans_centroids, kmeans_init  # noqa: F401
+from .baselines import ea_step, exact_optimum, kmeans_centroids, kmeans_init
 from .bilp import assemble, feasible_sets
 from .channel import ChannelParams, coverage_mask
 from .env import Environment, check_layout, obstructed_mask
@@ -96,7 +93,9 @@ def _plan_oracle(instance, state: PlanState, cfg: TrialConfig):
 
 def _plan_kmeans_ea(instance, state: PlanState, cfg: TrialConfig):
     sc = cfg.solver
-    start = kmeans_init(instance, state.gu_positions, derive_seed(cfg.solver_seed, state.period, 1))
+    centroids = kmeans_centroids(state.gu_positions, instance.n_abs,
+                                 derive_seed(cfg.solver_seed, state.period, 1))
+    start = kmeans_init(instance, centroids)
     radius = cfg.movement_radius if sc.ea_mutation_radius is None else sc.ea_mutation_radius
     placement = ea_step(start, instance, rounds=sc.ea_rounds, mutation_radius=radius,
                         seed=derive_seed(cfg.solver_seed, state.period, 2))

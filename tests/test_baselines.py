@@ -147,7 +147,7 @@ class TestKmeansInit:
     def test_snaps_to_distinct_valid_cells(self, empty_gcm, spec20):
         rng = np.random.default_rng(6)
         gu = rng.uniform(0, 500, size=(12, 2))
-        p = kmeans_init(all_cells_instance(empty_gcm, gu, 3), gu, seed=0)
+        p = kmeans_init(all_cells_instance(empty_gcm, gu, 3), kmeans_centroids(gu, 3))
         assert len(set(p.abs_cells)) == 3
         assert all(empty_gcm.abs_cell_valid[c - 1] for c in p.abs_cells)
         assert p.coverage_value == evaluate_placement(empty_gcm, p.abs_cells, gu)
@@ -156,7 +156,7 @@ class TestKmeansInit:
     def test_value_follows_instance_weights(self, empty_gcm, wm):
         # Every GU shares its grid with another, so users and grids differ.
         gu = np.repeat(np.random.default_rng(4).uniform(0, 500, size=(5, 2)), 2, axis=0)
-        p = kmeans_init(all_cells_instance(empty_gcm, gu, 2, wm), gu, seed=0)
+        p = kmeans_init(all_cells_instance(empty_gcm, gu, 2, wm), kmeans_centroids(gu, 2))
         assert p.coverage_value == evaluate_placement(
             empty_gcm, p.abs_cells, gu, weight_multiplicity=wm
         )
@@ -164,16 +164,16 @@ class TestKmeansInit:
 
     def test_centroid_snap_is_nearest(self, empty_gcm, spec20):
         gu = np.array([[100.0, 100.0]] * 4)
-        p = kmeans_init(all_cells_instance(empty_gcm, gu, 1), gu, seed=0)
+        p = kmeans_init(all_cells_instance(empty_gcm, gu, 1), kmeans_centroids(gu, 1))
         centers = spec20.traversal.centers
         d = np.hypot(centers[:, 0] - 100.0, centers[:, 1] - 100.0)
         assert p.abs_cells[0] == int(np.argmin(d)) + 1
 
     def test_pools_restrict_the_snap(self, empty_gcm, spec20):
         gu = np.array([[100.0, 100.0]] * 3 + [[400.0, 400.0]] * 3)
-        free = kmeans_init(all_cells_instance(empty_gcm, gu, 2), gu, seed=0)
+        free = kmeans_init(all_cells_instance(empty_gcm, gu, 2), kmeans_centroids(gu, 2))
         pools = [np.array([1, 2], dtype=np.int64), np.array([2, 400], dtype=np.int64)]
-        p = kmeans_init(assemble(empty_gcm, pools, gu), gu, seed=0)
+        p = kmeans_init(assemble(empty_gcm, pools, gu), kmeans_centroids(gu, 2))
         assert all(c in pool for c, pool in zip(p.abs_cells, pools))
         assert p.abs_cells != free.abs_cells
         assert p.coverage_value == evaluate_placement(empty_gcm, p.abs_cells, gu)
@@ -182,7 +182,7 @@ class TestKmeansInit:
         gu = np.array([[100.0, 100.0], [110.0, 100.0], [400.0, 400.0]])
         pools = [np.array([5], dtype=np.int64)] * 2
         with pytest.raises(InfeasibleSetError, match="ABS 1"):
-            kmeans_init(assemble(empty_gcm, pools, gu), gu, seed=0)
+            kmeans_init(assemble(empty_gcm, pools, gu), kmeans_centroids(gu, 2))
 
 
 class TestEaStep:

@@ -60,10 +60,7 @@ def test_traced_batch_fires_every_span(tmp_path, tracer, capsys):
     for _ in ("cold", "warm"):
         assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
     capsys.readouterr()
-    need = {name for names in spans.PER_LAYER.values() for name in names}
-    need |= {"gcm.save", "gcm.load", "baselines.exact", "baselines.ea"}
-    # baselines.kmeans is left out: its site wraps sim.kmeans_centroids,
-    # which planning no longer calls (an open FOUND in CHANGES.md).
+    need = {name for _, _, name, _ in spans._SITES}
     fired = set(tracer.names)
     assert need <= fired, f"spans that never fired: {sorted(need - fired)}"
 

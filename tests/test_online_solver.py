@@ -62,6 +62,34 @@ def dominant_cell_setup(n_gus=3):
     return gu, inst
 
 
+def held_pool_instance(seed):
+    """N = 2..5 ABSs over 9 cells, N - 1 of them selected: ABS j < N - 1
+    reaches selected cell held[j], up to two unselected cells and some of
+    held[:j], and ABS N - 1 reaches only selected cells. The matching seats
+    held[j] on ABS j, so ABS N - 1 goes to the held-pool fallback."""
+    rng = np.random.default_rng(seed)
+    spec = GridSpec(d1=100.0, d2=100.0, k1=3, k2=3, k1p=3, k2p=3, abs_alt=90.0)
+    gcm = synth_gcm(spec, rng.random((9, 9)) < 0.35)
+    n = int(rng.integers(2, 6))
+    cells = rng.permutation(9) + 1
+    held, rest = cells[:n - 1], cells[n - 1:]
+    pools = [np.unique(np.concatenate([
+        held[j:j + 1],
+        rng.choice(rest, size=int(rng.integers(0, 3)), replace=False),
+        rng.choice(held[:j], size=int(rng.integers(0, j + 1)), replace=False),
+    ])) for j in range(n - 1)]
+    pools.append(np.unique(rng.choice(held, size=int(rng.integers(1, n)), replace=False)))
+    gu = spec.ground.centers[rng.integers(0, 9, size=6), :2]
+    return gcm, pools, gu, assemble(gcm, tuple(pools), gu), sorted(held.tolist())
+
+
+def assignable(cells, pools, abss):
+    """Whether the cells can go to distinct ABSs among ``abss``, each cell
+    in its ABS's pool."""
+    return any(all(c in pools[j] for c, j in zip(cells, chosen))
+               for chosen in itertools.permutations(abss, len(cells)))
+
+
 class TestGapBound:
     def test_hand_value(self):
         _, _, _, inst = tiny_two_cell_instance()
@@ -224,6 +252,26 @@ class TestDecodeAndRepair:
             )
             assert len(picked & set(cells)) == matched
 
+    def test_held_pool_fallback_takes_the_best_routable_cell(self):
+        # The fallback routes one free cell and keeps every held one, so its
+        # value is the best over the free cells whose addition still admits
+        # a distinct assignment; with none, no such assignment exists.
+        worse_in_id_order = 0
+        for seed in range(400):
+            gcm, pools, gu, inst, held = held_pool_instance(seed)
+            pools = [set(p.tolist()) for p in pools]
+            routable = [c for c in sorted(set().union(*pools) - set(held))
+                        if assignable(held + [c], pools, range(len(pools)))]
+            x = x_for_cells(inst, held)
+            if not routable:
+                with pytest.raises(InfeasibleSetError):
+                    decode_and_repair(x, inst)
+                continue
+            values = [evaluate_placement(gcm, held + [c], gu) for c in routable]
+            assert decode_and_repair(x, inst).coverage_value == max(values), f"seed {seed}"
+            worse_in_id_order += values[0] < max(values)
+        assert worse_in_id_order >= 20
+
 
 class TestSolve:
     def test_dominant_cell_reaches_full_coverage(self):
@@ -278,11 +326,13 @@ class TestSolve:
             solve(inst, duplication=0)
 
 
-class TestGreedyPass:
-    """The pass prices from z_sub and the pools; the reference walks E."""
-
-    @staticmethod
-    def pass_with_iterates(inst, seed):
+def assert_matches_walk(inst, order, iterates=True):
+    """Run the pass on a fixed order and compare it with the column walk:
+    x always, and every iterate y of the dual trace when asked. Returns x."""
+    x = online_solver._greedy_pass(inst, order)
+    want_x, want_y = oracles.integer_csc_walk(inst, order)
+    assert np.array_equal(x, want_x)
+    if iterates:
         seen = []
 
         def record(instance, y):
@@ -291,8 +341,16 @@ class TestGreedyPass:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(online_solver, "dual_objective", record)
-            x, _ = online_solver._greedy_pass(inst, np.random.default_rng([seed, 0]), True)
-        return x, seen
+            online_solver._dual_trace(inst, order, x)
+        alpha = 1.0 / math.sqrt(inst.n_cols)
+        assert len(seen) == len(want_y) == inst.n_cols
+        for q, (got, want) in enumerate(zip(seen, want_y)):
+            assert np.array_equal(got, want * alpha / inst.n_cols), f"iterate {q}"
+    return x
+
+
+class TestGreedyPass:
+    """The pass prices from z_sub and the pools; the reference walks E."""
 
     @pytest.mark.parametrize("multiplicity", [True, False])
     @pytest.mark.parametrize("shared", [True, False])
@@ -304,47 +362,19 @@ class TestGreedyPass:
                 n_gus=2 + seed % 9, density=0.2 + 0.1 * (seed % 5), shared_pools=shared,
             )
             inst = assemble(gcm, pools, gu, weight_multiplicity=multiplicity)
-            x, seen = self.pass_with_iterates(inst, seed)
-            order = np.random.default_rng([seed, 0]).permutation(inst.n_cols)
-            want_x, want_y = oracles.integer_csc_walk(inst, order)
-            assert np.array_equal(x, want_x), f"seed {seed}"
-            alpha = 1.0 / math.sqrt(inst.n_cols)
-            assert len(seen) == len(want_y) == inst.n_cols
-            for got, want in zip(seen, want_y):
-                assert np.array_equal(got, want * alpha / inst.n_cols), f"seed {seed}"
+            assert_matches_walk(inst, np.random.default_rng([seed, 0]).permutation(inst.n_cols))
 
-
-class FixedOrder:
-    """Stands in for the pass's generator and hands out a chosen visit order."""
-
-    def __init__(self, order):
-        self.order = np.asarray(order, dtype=np.int64)
-
-    def permutation(self, n):
-        assert n == len(self.order)
-        return self.order.copy()
-
-
-def assert_matches_walk(inst, order, iterates=True):
-    """Run the pass on a fixed order and compare it with the column walk:
-    x always, and every iterate y when asked. Returns x."""
-    seen = []
-
-    def record(instance, y):
-        seen.append(np.array(y, copy=True))
-        return 0.0
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(online_solver, "dual_objective", record)
-        x, _ = online_solver._greedy_pass(inst, FixedOrder(order), iterates)
-    want_x, want_y = oracles.integer_csc_walk(inst, order)
-    assert np.array_equal(x, want_x)
-    if iterates:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_solve_trace_is_the_walk_on_each_restart_order(self, seed):
+        _, _, _, inst = random_instance(seed + 40, n_abs=1 + seed % 3, n_cells=8,
+                                         n_grids=5, n_gus=7, shared_pools=bool(seed & 1))
+        rep = solve(inst, duplication=3, seed=seed, track_dual=True)
         alpha = 1.0 / math.sqrt(inst.n_cols)
-        assert len(seen) == len(want_y) == inst.n_cols
-        for q, (got, want) in enumerate(zip(seen, want_y)):
-            assert np.array_equal(got, want * alpha / inst.n_cols), f"iterate {q}"
-    return x
+        for k, trace in enumerate(rep.dual_trace):
+            order = np.random.default_rng([seed, k]).permutation(inst.n_cols)
+            _, want_y = oracles.integer_csc_walk(inst, order)
+            want = tuple(dual_objective(inst, y * alpha / inst.n_cols) for y in want_y)
+            assert trace == want, f"restart {k}"
 
 
 def priced_windows(inst, order, x, width):
