@@ -5,10 +5,12 @@ median path-loss formulas (LoS and NLoS branches, no shadowing term); small
 scale fading enters only through the outage probability of a Rician (LoS)
 or Rayleigh (NLoS) envelope, which is a noncentral chi-square CDF. The
 chain is written once: ``link_budget`` gives each link's mean SNR and K,
-``outage_probability`` its outage, and ``coverage_mask`` the verdict.
-``branch_verdict_table`` runs the same chain once per distinct link length
-of a grid of horizontal offsets, for both LoS bits and without a sightline
-test: a map build's table of verdicts.
+``outage_probability`` its outage, and ``coverage_mask`` the verdict. A
+call takes one transmitter for every link, or one per link, and receivers
+at one altitude. ``branch_verdicts`` gives each link's verdict for both LoS
+bits without a sightline test, and ``branch_verdict_table`` the same once
+per distinct link length of a grid of horizontal offsets: a map build's
+table of verdicts.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.special import chndtr
 
-from .env import Environment, los_blocked_mask
+from .env import Environment, link_endpoints, los_blocked_mask
 
 SPEED_OF_LIGHT = 299792458.0
 # 3D distance floor of the path-loss model's validity range, metres.
@@ -156,14 +158,16 @@ def outage_probability(params: ChannelParams, snr_mean, k):
 
 def _link_geometry(p, qs):
     """Horizontal length, vertical drop and both antenna heights of the links
-    from p to receivers that share one altitude."""
-    p = np.asarray(p, dtype=float)
-    qs = np.asarray(qs, dtype=float)
+    from p, one transmitter (3,) or one per link (n, 3), to the receivers qs.
+    Transmitters share one altitude, and so do receivers."""
+    p, qs = link_endpoints(p, qs)
     if np.ptp(qs[:, 2]) != 0.0:
         raise ValueError("links need a uniform receiver altitude")
-    d2d = np.hypot(qs[:, 0] - p[0], qs[:, 1] - p[1])
-    dz = p[2] - qs[:, 2]
-    return d2d, dz, float(p[2]), float(qs[0, 2])
+    if p.ndim == 2 and np.ptp(p[:, 2]) != 0.0:
+        raise ValueError("links need a uniform transmitter altitude")
+    d2d = np.hypot(qs[:, 0] - p[..., 0], qs[:, 1] - p[..., 1])
+    dz = p[..., 2] - qs[:, 2]
+    return d2d, dz, float(p.flat[2]), float(qs[0, 2])
 
 
 def _branch_budgets(params: ChannelParams, d2d, dz, h_bs: float, h_ut: float):
@@ -178,15 +182,38 @@ def _branch_budgets(params: ChannelParams, d2d, dz, h_bs: float, h_ut: float):
 
 
 def link_budget(params: ChannelParams, env: Environment, p, qs):
-    """Mean SNR and Rician K (both linear) from one transmitter to many points.
+    """Mean SNR and Rician K (both linear) of each link from p to qs.
 
     Chain per link: LoS geometry -> branch path loss -> mean SNR -> angular
-    K factor, zero on blocked links. Receivers share one altitude.
+    K factor, zero on blocked links. ``p`` is one transmitter (3,) or one
+    per link (n, 3); transmitters share one altitude, and so do receivers.
     """
     geometry = _link_geometry(p, qs)
     los = ~los_blocked_mask(env, p, qs)
     snr_los, snr_nlos, k_los = _branch_budgets(params, *geometry)
     return np.where(los, snr_los, snr_nlos), np.where(los, k_los, 0.0)
+
+
+def _branch_verdicts(params: ChannelParams, d2d, dz, h_bs: float, h_ut: float):
+    """Coverage of each link were it in LoS and were it not; two bool arrays
+    shaped like ``d2d``."""
+    snr_los, snr_nlos, k_los = _branch_budgets(params, d2d, dz, h_bs, h_ut)
+    p_out = outage_probability(
+        params, np.concatenate([snr_los, snr_nlos]), np.concatenate([k_los, np.zeros_like(k_los)])
+    )
+    covered = p_out < params.outage_threshold
+    return covered[: d2d.size], covered[d2d.size :]
+
+
+def branch_verdicts(params: ChannelParams, p, qs):
+    """Coverage of each link from p to qs were it in LoS and were it not;
+    two (n,) bool arrays, from the ``coverage_mask`` chain without its
+    sightline test.
+
+    Where the two agree, the LoS bit cannot change the verdict, so that
+    verdict is the one ``coverage_mask`` gives.
+    """
+    return _branch_verdicts(params, *_link_geometry(p, qs))
 
 
 def branch_verdict_table(params: ChannelParams, dx, dy, h_bs: float, h_ut: float):
@@ -203,18 +230,15 @@ def branch_verdict_table(params: ChannelParams, dx, dy, h_bs: float, h_ut: float
     dist, inverse = np.unique(d2d, return_inverse=True)
     # One drop per length, laid out as a per-link call lays it out.
     dz = np.full(dist.shape, h_bs - h_ut)
-    snr_los, snr_nlos, k_los = _branch_budgets(params, dist, dz, h_bs, h_ut)
-    p_out = outage_probability(
-        params, np.concatenate([snr_los, snr_nlos]), np.concatenate([k_los, np.zeros_like(k_los)])
-    )
-    covered = p_out < params.outage_threshold
+    covered_los, covered_nlos = _branch_verdicts(params, dist, dz, h_bs, h_ut)
     inverse = inverse.reshape(d2d.shape)
-    return covered[: dist.size][inverse], covered[dist.size :][inverse]
+    return covered_los[inverse], covered_nlos[inverse]
 
 
 def coverage_mask(params: ChannelParams, env: Environment, p, qs) -> np.ndarray:
-    """Full-chain coverage test from one transmitter to many points: the
-    ``link_budget`` of each link, then its outage against the threshold."""
+    """Full-chain coverage test of each link from p, one transmitter (3,) or
+    one per link (n, 3), to qs: the ``link_budget`` of each link, then its
+    outage against the threshold."""
     qs = np.asarray(qs, dtype=float)
     if qs.shape[0] == 0:
         return np.zeros(0, dtype=bool)

@@ -22,6 +22,10 @@ from .errors import EnvironmentTooDenseError
 _DENSE_PAIRS = 1 << 13
 # Angular widening (rad) and relative reach margin of the azimuth gather.
 _AZIMUTH_PAD = 1e-9
+# Key spacing of transmitters sorted together by the azimuth gather: an exact
+# integer above 3 pi, so that no interval of one transmitter (within 2 pi of
+# its own keys' centre) reaches another's keys (within pi of theirs).
+_OWNER_SPAN = 16.0
 # Rejection draws for one block's footprint before the layout counts as too dense.
 _TRIES_PER_BLOCK = 1000
 
@@ -168,68 +172,98 @@ def _overlap(seg_lo, seg_hi, bmin, bmax) -> np.ndarray:
     return ok[0] & ok[1] & ok[2]
 
 
+def _columns(p: np.ndarray) -> np.ndarray:
+    """Transmitter coordinates as columns: (3, 1) for one transmitter, (3, n)
+    for one per link."""
+    return p.T if p.ndim == 2 else p[:, None]
+
+
 def _box_pairs(
     p: np.ndarray, qs: np.ndarray, mins: np.ndarray, maxs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(link, block) index pairs whose bounding boxes overlap strictly, found
     by one dense link x block test."""
-    seg_lo = np.minimum(p[:, None], qs.T)[:, :, None]
-    seg_hi = np.maximum(p[:, None], qs.T)[:, :, None]
+    seg_lo = np.minimum(_columns(p), qs.T)[:, :, None]
+    seg_hi = np.maximum(_columns(p), qs.T)[:, :, None]
     return np.nonzero(_overlap(seg_lo, seg_hi, mins[:, None, :], maxs[:, None, :]))
 
 
 def _azimuth_pairs(
     p: np.ndarray, qs: np.ndarray, mins: np.ndarray, maxs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(link, block) index pairs where the link's azimuth from p lies in the
-    block footprint's azimuth interval, the link reaches the footprint, and
-    the bounding boxes overlap strictly.
+    """(link, block) index pairs where the link's azimuth from its transmitter
+    lies in the block footprint's azimuth interval from there, the link
+    reaches the footprint, and the bounding boxes overlap strictly.
 
     Over-includes by design: intervals are widened by _AZIMUTH_PAD rad and
     reach is compared with a relative _AZIMUTH_PAD margin, so every pair the
     exact test can find blocked is kept. A footprint whose closed square
-    holds p's xy, or lies within rounding of it, spans every azimuth.
+    holds the transmitter's xy, or lies within rounding of it, spans every
+    azimuth. With one transmitter per link, each run of links from one
+    transmitter is an owner, and one sort serves every owner: a link's key
+    is its azimuth plus _OWNER_SPAN times its owner's index, and each
+    owner's intervals are shifted alike. Adding the same exact integer to
+    both sides of a comparison rounds monotonically, so the shifted keys
+    still only over-include.
     """
-    dx = qs[:, 0] - p[0]
-    dy = qs[:, 1] - p[1]
+    origin = _columns(p)
+    dx = qs[:, 0] - origin[0]
+    dy = qs[:, 1] - origin[1]
     azimuth = np.arctan2(dy, dx)
+    reach = np.hypot(dx, dy)
+    if p.ndim == 1:
+        tx, owner = p[None], None
+    else:
+        new = np.r_[True, (p[1:] != p[:-1]).any(axis=1)]
+        tx, owner = p[new], np.cumsum(new) - 1
+        azimuth = azimuth + _OWNER_SPAN * owner
     order = np.argsort(azimuth, kind="stable")
     sorted_az = azimuth[order]
-    reach = np.hypot(dx, dy)
 
-    # Corner azimuths as offsets from the centre's: a footprint away from p
-    # spans less than pi, so each offset wraps at most once.
-    mid = np.arctan2(0.5 * (mins[1] + maxs[1]) - p[1], 0.5 * (mins[0] + maxs[0]) - p[0])
-    corner_x = np.stack([mins[0], maxs[0], maxs[0], mins[0]], axis=1) - p[0]
-    corner_y = np.stack([mins[1], mins[1], maxs[1], maxs[1]], axis=1) - p[1]
-    off = np.arctan2(corner_y, corner_x) - mid[:, None]
+    # One row per transmitter, one column per block. Corner azimuths as
+    # offsets from the centre's: a footprint away from the transmitter spans
+    # less than pi, so each offset wraps at most once.
+    px, py = tx[:, 0:1], tx[:, 1:2]
+    mid = np.arctan2(0.5 * (mins[1] + maxs[1]) - py, 0.5 * (mins[0] + maxs[0]) - px)
+    corner_x = np.stack([mins[0], maxs[0], maxs[0], mins[0]])[:, None, :]
+    corner_y = np.stack([mins[1], mins[1], maxs[1], maxs[1]])[:, None, :]
+    off = np.arctan2(corner_y - py, corner_x - px) - mid
     off = (off + np.pi) % (2.0 * np.pi) - np.pi
-    lo = mid + off.min(axis=1) - _AZIMUTH_PAD
-    hi = mid + off.max(axis=1) + _AZIMUTH_PAD
-    gap_x = np.maximum(np.maximum(mins[0] - p[0], p[0] - maxs[0]), 0.0)
-    gap_y = np.maximum(np.maximum(mins[1] - p[1], p[1] - maxs[1]), 0.0)
+    lo = mid + np.minimum(np.minimum(off[0], off[1]), np.minimum(off[2], off[3])) - _AZIMUTH_PAD
+    hi = mid + np.maximum(np.maximum(off[0], off[1]), np.maximum(off[2], off[3])) + _AZIMUTH_PAD
+    gap_x = np.maximum(np.maximum(mins[0] - px, px - maxs[0]), 0.0)
+    gap_y = np.maximum(np.maximum(mins[1] - py, py - maxs[1]), 0.0)
     near = np.hypot(gap_x, gap_y)
     # The pad covers rounding that is small against the distance to the
-    # footprint; nearer than this, the block takes every link.
-    around = near <= 1e-5 * (1.0 + abs(p[0]) + abs(p[1]))
-    lo[around], hi[around], near[around] = -np.inf, np.inf, 0.0
+    # footprint; nearer than this, the block takes every link of its owner
+    # (every azimuth, but no other owner's keys).
+    around = near <= 1e-5 * (1.0 + np.abs(px) + np.abs(py))
+    lo[around], hi[around], near[around] = -4.0, 4.0, 0.0
+    lo, hi, near, around = lo.ravel(), hi.ravel(), near.ravel(), around.ravel()
 
     # An interval that crosses the +-pi seam gets a copy shifted by 2 pi,
     # which holds its part on the other side.
     shift = np.where(lo < -np.pi, 2.0 * np.pi, np.where(hi > np.pi, -2.0 * np.pi, 0.0))
     wraps = np.flatnonzero((shift != 0.0) & ~around)
-    piece_block = np.concatenate([np.arange(mins.shape[1]), wraps])
-    start = np.searchsorted(sorted_az, np.concatenate([lo, lo[wraps] + shift[wraps]]), "left")
-    stop = np.searchsorted(sorted_az, np.concatenate([hi, hi[wraps] + shift[wraps]]), "right")
+    cell = np.concatenate([np.arange(lo.size), wraps])
+    lo = np.concatenate([lo, lo[wraps] + shift[wraps]])
+    hi = np.concatenate([hi, hi[wraps] + shift[wraps]])
+    if owner is not None:
+        base = _OWNER_SPAN * (cell // mins.shape[1])
+        lo, hi = lo + base, hi + base
+    start = np.searchsorted(sorted_az, lo, "left")
+    stop = np.searchsorted(sorted_az, hi, "right")
     count = stop - start
     first = np.cumsum(count) - count
     piece = np.repeat(np.arange(count.size), count)
     im = order[np.arange(piece.size) + (start - first)[piece]]
-    ib = piece_block[piece]
-    keep = reach[im] >= near[ib] * (1.0 - _AZIMUTH_PAD)
-    im, ib = im[keep], ib[keep]
-    seg_lo = np.minimum(p[:, None], qs.T[:, im])
-    seg_hi = np.maximum(p[:, None], qs.T[:, im])
+    cell = cell[piece]
+    keep = reach[im] >= near[cell] * (1.0 - _AZIMUTH_PAD)
+    im, cell = im[keep], cell[keep]
+    ib = cell if owner is None else cell % mins.shape[1]
+    origin = origin if owner is None else origin[:, im]
+    seg_lo = np.minimum(origin, qs.T[:, im])
+    seg_hi = np.maximum(origin, qs.T[:, im])
     keep = _overlap(seg_lo, seg_hi, mins[:, ib], maxs[:, ib])
     return im[keep], ib[keep]
 
@@ -251,18 +285,21 @@ def _blocked_by_pairs(
     """
     blocked = np.zeros(qs.shape[0], dtype=bool)
     # Pairs run along the second axis, so each per-axis step is a flat array.
-    pc = p[:, None]
+    per_link = p.ndim == 2
+    pc = _columns(p)[:, im] if per_link else _columns(p)
     dd, bmin, bmax = qs.T[:, im] - pc, mins[:, ib], maxs[:, ib]
     # Exact prune: the xy line misses the footprint when its distance
     # from the center exceeds the box support along the normal.
     adx, ady = np.abs(dd[0]), np.abs(dd[1])
-    rel_x = 0.5 * (bmin[0] + bmax[0]) - p[0]
-    rel_y = 0.5 * (bmin[1] + bmax[1]) - p[1]
+    rel_x = 0.5 * (bmin[0] + bmax[0]) - pc[0]
+    rel_y = 0.5 * (bmin[1] + bmax[1]) - pc[1]
     cross = dd[0] * rel_y - dd[1] * rel_x
     support = 0.5 * ((bmax[0] - bmin[0]) * ady + (bmax[1] - bmin[1]) * adx)
     keep = np.abs(cross) <= support
     if not keep.all():
         im, dd, bmin, bmax = im[keep], dd[:, keep], bmin[:, keep], bmax[:, keep]
+        if per_link:
+            pc = pc[:, keep]
     if im.size == 0:
         return blocked
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -270,8 +307,8 @@ def _blocked_by_pairs(
         t2 = (bmax - pc) / dd
     lo = np.minimum(t1, t2)
     hi = np.maximum(t1, t2)
-    # Axis-parallel segments: the slab is hit for all t when p sits
-    # strictly inside it, never otherwise.
+    # Axis-parallel segments: the slab is hit for all t when the
+    # transmitter sits strictly inside it, never otherwise.
     par = dd == 0.0
     if par.any():
         inside = (pc > bmin) & (pc < bmax)
@@ -286,7 +323,8 @@ def _blocked_by_pairs(
 def _segments_blocked(
     p: np.ndarray, qs: np.ndarray, mins: np.ndarray, maxs: np.ndarray
 ) -> np.ndarray:
-    """Open segments p->qs[i] against open boxes; (n,) bool, True when blocked.
+    """Open segments p->qs[i] (p[i] with one transmitter per link) against
+    open boxes; (n,) bool, True when blocked.
 
     Small queries take candidates from the dense bounding-box test, larger
     ones from the azimuth gather; both feed the same exact pair test.
@@ -297,12 +335,25 @@ def _segments_blocked(
     return _blocked_by_pairs(p, qs, mins, maxs, *gather(p, qs, mins, maxs))
 
 
-def los_blocked_mask(env: Environment, p, qs) -> np.ndarray:
-    """Vectorized blockage test from one point to many; True means no LoS."""
+def link_endpoints(p, qs) -> tuple[np.ndarray, np.ndarray]:
+    """``p`` and ``qs`` as float arrays: qs of shape (n, 3), and p one
+    transmitter (3,) for every link or one per link (n, 3); ValueError on
+    any other shape."""
     p = np.asarray(p, dtype=float)
     qs = np.asarray(qs, dtype=float)
-    if p.shape != (3,) or qs.ndim != 2 or qs.shape[1] != 3:
-        raise ValueError("expected p of shape (3,) and qs of shape (n, 3)")
+    if qs.ndim != 2 or qs.shape[1] != 3 or p.shape not in ((3,), (qs.shape[0], 3)):
+        raise ValueError("expected p of shape (3,) or (n, 3) and qs of shape (n, 3)")
+    return p, qs
+
+
+def los_blocked_mask(env: Environment, p, qs) -> np.ndarray:
+    """Vectorized blockage test of many links; True means no LoS.
+
+    ``p`` is one transmitter for every link, shape (3,), or one per link,
+    shape (n, 3). Links from one transmitter are best passed in one run:
+    the azimuth gather treats each run of equal rows as one transmitter.
+    """
+    p, qs = link_endpoints(p, qs)
     if not (np.isfinite(p).all() and np.isfinite(qs).all()):
         raise ValueError("sightline endpoints must be finite")
     mins, maxs = env._box_bounds

@@ -14,8 +14,10 @@ period from those paths, flies the fleet to the plans, then scores both
 coverage modes from the two position arrays. "Simplified" coverage snaps each
 distinct ABS position to its grid cell once and reads the connectivity map
 for all steps at once. "Actual" coverage evaluates the full channel chain at
-the continuous positions, in one ``coverage_mask`` call per run of steps an
-ABS spends at one exact position within one period.
+the continuous positions. The runs of steps that an ABS spends at one exact
+position within one period are packed, in step order, into calls of at most
+J*M links. Each call takes both branch verdicts of every link, and only the
+links whose two verdicts differ go through ``coverage_mask``.
 
 Every solver is one ``SOLVERS`` entry: how it plans, and which trials it
 cannot run.
@@ -26,13 +28,14 @@ from __future__ import annotations
 import json
 import math
 import time
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .baselines import ea_step, exact_optimum, kmeans_centroids, kmeans_init
 from .bilp import assemble, feasible_sets
-from .channel import ChannelParams, coverage_mask
+from .channel import ChannelParams, ModelValidityWarning, branch_verdicts, coverage_mask
 from .env import Environment, check_layout, obstructed_mask
 from .errors import ConfigError, ContractViolationError, InfeasibleSetError
 from .gcm import Gcm, GridSpec, nearest_valid_abs_cell
@@ -472,22 +475,59 @@ def _actual_cr(cfg: TrialConfig, environment: Environment, abs_steps: np.ndarray
     """Per-step share of users some ABS covers through the full channel
     chain; (I, N, 3) ABS and (I, M, 2) user positions in.
 
-    One ``coverage_mask`` call takes every link of one run of steps that an
-    ABS spends at one exact position. A run stops at each period boundary,
-    so one call holds at most J*M links, which bounds its peak memory.
-    Every stage of the chain is elementwise per link, so the verdicts are
-    those of per-step calls.
+    A run is the steps one ABS spends at one exact position within one
+    period. Runs are packed whole, in step order, into calls of at most J*M
+    links with one transmitter per link (``_packed_runs``), which bounds
+    each call's peak memory. A call takes both branch verdicts of every link
+    (``branch_verdicts``); only the band of links whose two verdicts differ
+    goes through ``coverage_mask``, sightline test included, in a call made
+    even when the band is empty. Every stage is elementwise per link, so
+    the verdicts are those of per-step calls. The verdicts warn once per
+    call for the links under the model floor, and the band call under them
+    does not warn again, so each clamped link is counted once.
     """
     i_total, m, _ = gu_steps.shape
     gu3 = np.concatenate([gu_steps, np.full((i_total, m, 1), cfg.channel.gu_alt)], axis=2)
-    period_start = np.arange(i_total) % cfg.steps_per_period == 0
-    covered = np.zeros((i_total, m), dtype=bool)
-    for track in abs_steps.transpose(1, 0, 2):
-        starts = np.flatnonzero(period_start | np.r_[True, (track[1:] != track[:-1]).any(axis=1)])
-        for a, b in zip(starts, np.r_[starts[1:], i_total]):
-            links = gu3[a:b].reshape(-1, 3)
-            covered[a:b] |= coverage_mask(cfg.channel, environment, track[a], links).reshape(-1, m)
-    return covered.mean(axis=1)
+    hit = np.zeros((i_total, abs_steps.shape[1], m), dtype=bool)
+    for steps, fleet in _packed_runs(abs_steps, cfg.steps_per_period):
+        ps = np.repeat(abs_steps[steps, fleet], m, axis=0)
+        qs = gu3[steps].reshape(-1, 3)
+        covered_los, covered = branch_verdicts(cfg.channel, ps, qs)
+        band = covered_los != covered
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ModelValidityWarning)
+            covered[band] = coverage_mask(cfg.channel, environment, ps[band], qs[band])
+        hit[steps, fleet] = covered.reshape(-1, m)
+    return hit.any(axis=1).mean(axis=1)
+
+
+def _packed_runs(abs_steps: np.ndarray, j_steps: int):
+    """Step and ABS index arrays of the (step, ABS) rows of each call, one
+    call at a time.
+
+    A run starts at every period start and wherever an ABS moves. Runs are
+    taken in step order, then ABS order, each whole with its rows in step
+    order, and packed greedily into calls of at most ``j_steps`` rows.
+    """
+    i_total, n, _ = abs_steps.shape
+    new = np.ones((i_total, n), dtype=bool)
+    new[1:] = (abs_steps[1:] != abs_steps[:-1]).any(axis=2)
+    new[::j_steps] = True
+    starts, owners = np.nonzero(new)
+    runs = []
+    for k in range(n):
+        first = starts[owners == k]
+        runs += zip(first.tolist(), [k] * first.size, np.r_[first[1:], i_total].tolist())
+    runs.sort()
+    steps, fleet, rows = [], [], 0
+    for a, k, b in runs:
+        if rows + b - a > j_steps:
+            yield np.concatenate(steps), np.concatenate(fleet)
+            steps, fleet, rows = [], [], 0
+        steps.append(np.arange(a, b))
+        fleet.append(np.full(b - a, k))
+        rows += b - a
+    yield np.concatenate(steps), np.concatenate(fleet)
 
 
 def validate_trial_log(log: TrialLog, gcm: Gcm | None = None) -> None:

@@ -15,9 +15,10 @@ from absmove import (
     db_to_linear,
     is_los,
     link_budget,
+    los_blocked_mask,
     outage_probability,
 )
-from absmove.channel import branch_verdict_table
+from absmove.channel import branch_verdict_table, branch_verdicts
 
 import oracles
 
@@ -224,6 +225,44 @@ class TestCoverage:
             link_budget(params, empty_env, (250.0, 250.0, 90.0), qs)
         with pytest.raises(ValueError, match="uniform receiver altitude"):
             coverage_mask(params, empty_env, (250.0, 250.0, 90.0), qs)
+
+    def test_per_link_transmitters_checked(self, params, empty_env):
+        qs = np.array([[100.0, 100.0, 1.0], [200.0, 200.0, 1.0]])
+        mixed = np.array([[0.0, 0.0, 90.0], [0.0, 0.0, 80.0]])
+        for fn in (link_budget, coverage_mask):
+            with pytest.raises(ValueError, match="uniform transmitter altitude"):
+                fn(params, empty_env, mixed, qs)
+            with pytest.raises(ValueError, match=r"\(3,\) or \(n, 3\)"):
+                fn(params, empty_env, np.tile(mixed[0], (3, 1)), qs)
+        with pytest.raises(ValueError, match="uniform transmitter altitude"):
+            branch_verdicts(params, mixed, qs)
+
+    def test_per_link_transmitters_match_one_call_each(self, params, city_env):
+        rng = np.random.default_rng(4)
+        tx = np.column_stack([rng.uniform(0, 500, (3, 2)), np.full(3, 90.0)])
+        qs = np.column_stack([rng.uniform(0, 500, (90, 2)), np.full(90, 1.0)])
+        owner = rng.integers(0, 3, 90)
+        got = coverage_mask(params, city_env, tx[owner], qs)
+        for k in range(3):
+            want = coverage_mask(params, city_env, tx[k], qs[owner == k])
+            assert np.array_equal(got[owner == k], want)
+        assert got.any() and not got.all()
+
+    def test_branch_verdicts_bracket_the_chain(self, params, city_env, empty_env):
+        # Where the two verdicts agree, coverage_mask gives that verdict;
+        # where they differ, the LoS bit decides.
+        rng = np.random.default_rng(6)
+        tx = np.column_stack([rng.uniform(0, 500, (4, 2)), np.full(4, 90.0)])
+        ps = np.repeat(tx, 200, axis=0)
+        qs = np.column_stack([rng.uniform(0, 500, (800, 2)), np.full(800, 1.0)])
+        covered_los, covered_nlos = branch_verdicts(params, ps, qs)
+        assert np.array_equal(covered_los, coverage_mask(params, empty_env, ps, qs))
+        band = covered_los != covered_nlos
+        assert band.any() and not band.all()
+        got = coverage_mask(params, city_env, ps, qs)
+        assert np.array_equal(got[~band], covered_nlos[~band])
+        blocked = los_blocked_mask(city_env, ps, qs)
+        assert np.array_equal(got[band], np.where(blocked, covered_nlos, covered_los)[band])
 
     def test_full_chain_against_reference(self, params, city_env):
         rng = np.random.default_rng(17)

@@ -14,6 +14,7 @@ from absmove import (
     los_blocked_mask,
     obstructed_mask,
 )
+import absmove.env as env_module
 from absmove.env import _azimuth_pairs, _blocked_by_pairs, _box_pairs
 
 from oracles import sampled_blocked, sampled_blocked_robust
@@ -165,16 +166,50 @@ class TestLineOfSight:
         assert np.array_equal(p, p0) and np.array_equal(qs, qs0)
 
 
+# (p, q, blocked) links against one_block_env(): box [40, 60]^2 x [0, 50].
+GRAZES = [
+    ((0.0, 50.0, 50.0), (100.0, 50.0, 50.0), False),  # along the roof face
+    ((40.0, 0.0, 10.0), (40.0, 100.0, 10.0), False),  # along a side face
+    ((0.0, 40.0, 50.0), (100.0, 40.0, 50.0), False),  # along a roof edge
+    ((0.0, 80.0, 10.0), (80.0, 0.0, 10.0), False),  # touches a vertical edge
+    ((20.0, 20.0, 30.0), (60.0, 60.0, 70.0), False),  # touches a roof corner
+    ((0.0, 0.0, 90.0), (40.0, 40.0, 50.0), False),  # ends on a roof corner
+    ((0.0, 0.0, 90.0), (80.0, 80.0, 10.0), True),  # in through a roof corner
+    ((0.0, 100.0, 10.0), (100.0, 0.0, 10.0), True),  # across the footprint
+    ((0.0, 50.0, 49.999), (100.0, 50.0, 49.999), True),  # just under the roof
+]
+AXIS_PARALLEL = [
+    ((50.0, 0.0, 25.0), (50.0, 100.0, 25.0), True),
+    ((50.0, 0.0, 25.0), (50.0, 30.0, 25.0), False),  # stops short
+    ((50.0, 0.0, 25.0), (50.0, 100.0, 60.0), True),  # constant x only
+    ((40.0, 0.0, 25.0), (40.0, 100.0, 25.0), False),  # in a face plane
+    ((60.0, 0.0, 25.0), (60.0, 100.0, 25.0), False),
+    ((0.0, 0.0, 25.0), (100.0, 0.0, 25.0), False),  # beside the block
+    ((0.0, 50.0, 49.0), (100.0, 50.0, 49.0), True),
+    ((0.0, 50.0, 60.0), (100.0, 50.0, 60.0), False),  # over the roof
+]
+VERTICAL = [
+    ((50.0, 50.0, 90.0), (50.0, 50.0, 1.0), True),  # through the roof
+    ((40.0, 50.0, 90.0), (40.0, 50.0, 1.0), False),  # down a face
+    ((40.0, 40.0, 90.0), (40.0, 40.0, 1.0), False),  # down an edge
+    ((20.0, 20.0, 90.0), (20.0, 20.0, 1.0), False),  # beside the block
+]
+
+
 def both_paths(env: Environment, p, qs) -> np.ndarray:
     """Blocked mask from the dense and from the azimuth candidates, which
-    must agree; the size switch in los_blocked_mask is bypassed."""
+    must agree; the size switch in los_blocked_mask is bypassed. ``p`` is
+    one transmitter (3,), which is also passed once per link (n, 3), or
+    one per link."""
     p = np.asarray(p, dtype=float)
     qs = np.atleast_2d(np.asarray(qs, dtype=float))
     mins, maxs = env._box_bounds
-    dense = _blocked_by_pairs(p, qs, mins, maxs, *_box_pairs(p, qs, mins, maxs))
-    gather = _blocked_by_pairs(p, qs, mins, maxs, *_azimuth_pairs(p, qs, mins, maxs))
-    assert np.array_equal(dense, gather), np.flatnonzero(dense != gather)
-    return dense
+    transmitters = [p] if p.ndim == 2 else [p, np.tile(p, (len(qs), 1))]
+    masks = [_blocked_by_pairs(tx, qs, mins, maxs, *gather(tx, qs, mins, maxs))
+             for tx in transmitters for gather in (_box_pairs, _azimuth_pairs)]
+    for mask in masks[1:]:
+        assert np.array_equal(masks[0], mask), np.flatnonzero(masks[0] != mask)
+    return masks[0]
 
 
 class TestCandidatePaths:
@@ -201,17 +236,7 @@ class TestCandidatePaths:
                 if verdict is not None:
                     assert mask[i] == verdict, (p, qs[i])
 
-    @pytest.mark.parametrize("p, q, blocked", [
-        ((0.0, 50.0, 50.0), (100.0, 50.0, 50.0), False),  # along the roof face
-        ((40.0, 0.0, 10.0), (40.0, 100.0, 10.0), False),  # along a side face
-        ((0.0, 40.0, 50.0), (100.0, 40.0, 50.0), False),  # along a roof edge
-        ((0.0, 80.0, 10.0), (80.0, 0.0, 10.0), False),  # touches a vertical edge
-        ((20.0, 20.0, 30.0), (60.0, 60.0, 70.0), False),  # touches a roof corner
-        ((0.0, 0.0, 90.0), (40.0, 40.0, 50.0), False),  # ends on a roof corner
-        ((0.0, 0.0, 90.0), (80.0, 80.0, 10.0), True),  # in through a roof corner
-        ((0.0, 100.0, 10.0), (100.0, 0.0, 10.0), True),  # across the footprint
-        ((0.0, 50.0, 49.999), (100.0, 50.0, 49.999), True),  # just under the roof
-    ])
+    @pytest.mark.parametrize("p, q, blocked", GRAZES)
     def test_face_edge_and_corner_grazes(self, p, q, blocked):
         env = one_block_env()  # box [40, 60] x [40, 60] x [0, 50]
         assert both_paths(env, p, [q]).tolist() == [blocked]
@@ -238,16 +263,7 @@ class TestCandidatePaths:
             verdict = sampled_blocked_robust(env, p, q)
             assert verdict is None or verdict == blocked, q
 
-    @pytest.mark.parametrize("p, q, blocked", [
-        ((50.0, 0.0, 25.0), (50.0, 100.0, 25.0), True),
-        ((50.0, 0.0, 25.0), (50.0, 30.0, 25.0), False),  # stops short
-        ((50.0, 0.0, 25.0), (50.0, 100.0, 60.0), True),  # constant x only
-        ((40.0, 0.0, 25.0), (40.0, 100.0, 25.0), False),  # in a face plane
-        ((60.0, 0.0, 25.0), (60.0, 100.0, 25.0), False),
-        ((0.0, 0.0, 25.0), (100.0, 0.0, 25.0), False),  # beside the block
-        ((0.0, 50.0, 49.0), (100.0, 50.0, 49.0), True),
-        ((0.0, 50.0, 60.0), (100.0, 50.0, 60.0), False),  # over the roof
-    ])
+    @pytest.mark.parametrize("p, q, blocked", AXIS_PARALLEL)
     def test_axis_parallel_links(self, p, q, blocked):
         env = one_block_env()
         assert both_paths(env, p, [q]).tolist() == [blocked]
@@ -255,10 +271,8 @@ class TestCandidatePaths:
 
     def test_vertical_links(self):
         env = one_block_env(height=50.0)
-        qs = [(50.0, 50.0, 1.0), (40.0, 50.0, 1.0), (40.0, 40.0, 1.0), (20.0, 20.0, 1.0)]
-        tops = [(50.0, 50.0, 90.0), (40.0, 50.0, 90.0), (40.0, 40.0, 90.0), (20.0, 20.0, 90.0)]
-        got = [both_paths(env, p, [q])[0] for p, q in zip(tops, qs)]
-        assert got == [True, False, False, False]
+        got = [both_paths(env, p, [q])[0] for p, q, _ in VERTICAL]
+        assert got == [blocked for _, _, blocked in VERTICAL]
 
     def test_blocks_across_the_seam(self):
         # Seen from p, these blocks straddle the +-pi azimuth (the -x ray),
@@ -297,6 +311,97 @@ class TestCandidatePaths:
             assert both_paths(env, p, [short]).tolist() == [False]
 
 
+def one_call_per_transmitter(env: Environment, ps, qs) -> np.ndarray:
+    """Blocked mask of links with one transmitter each, from one
+    los_blocked_mask call per distinct transmitter."""
+    out = np.zeros(len(qs), dtype=bool)
+    for tx in np.unique(ps, axis=0):
+        sel = (ps == tx).all(axis=1)
+        out[sel] = los_blocked_mask(env, tx, qs[sel])
+    return out
+
+
+class TestPerLinkTransmitters:
+    """One transmitter per link, shape (n, 3), gives the verdicts of one call
+    per transmitter, through the dense candidates and the azimuth gather,
+    with each transmitter's links in one run or interleaved."""
+
+    @pytest.fixture(params=["dense", "azimuth"])
+    def gather(self, request, monkeypatch):
+        monkeypatch.setattr(env_module, "_DENSE_PAIRS", 1 << 62 if request.param == "dense" else 0)
+
+    @staticmethod
+    def check(env, ps, qs, rng=None) -> np.ndarray:
+        ps, qs = np.asarray(ps, dtype=float), np.asarray(qs, dtype=float)
+        want = one_call_per_transmitter(env, ps, qs)
+        assert np.array_equal(los_blocked_mask(env, ps, qs), want)
+        assert np.array_equal(both_paths(env, ps, qs), want)
+        # Shuffled, most links start a run of their own.
+        shuffle = np.random.default_rng(rng).permutation(len(qs))
+        assert np.array_equal(los_blocked_mask(env, ps[shuffle], qs[shuffle]), want[shuffle])
+        return want
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_scenes(self, gather, seed):
+        rng = np.random.default_rng(seed)
+        env = generate_environment(400.0, 400.0, 40, 25.0, (20.0, 100.0), seed=seed)
+        block = env.blocks[0]
+        corner = np.add(block.center_xy, block.half_width)
+        ps, qs = [], []
+        # Away from blocks, over a footprint (every azimuth), on its corner.
+        for xy in (rng.uniform(0, 400, 2), block.center_xy, corner, rng.uniform(0, 400, 2)):
+            p = np.array([*xy, 90.0])
+            q = np.column_stack([rng.uniform(0, 400, (80, 2)), np.full(80, 1.5)])
+            q[:5, 0] = p[0]  # axis-parallel
+            q[5:10, 1] = p[1]
+            q[10, :2] = p[:2]  # vertical
+            ps.append(np.tile(p, (80, 1)))
+            qs.append(q)
+        want = self.check(env, np.concatenate(ps), np.concatenate(qs), seed)
+        assert want.any() and not want.all()
+
+    def test_known_links_in_one_call(self, gather):
+        # Every link its own transmitter, both ways round.
+        cases = GRAZES + AXIS_PARALLEL + VERTICAL
+        ps = [p for p, _, _ in cases] + [q for _, q, _ in cases]
+        qs = [q for _, q, _ in cases] + [p for p, _, _ in cases]
+        want = self.check(one_block_env(), ps, qs)
+        assert want.tolist() == [blocked for _, _, blocked in cases] * 2
+
+    def test_transmitters_above_a_footprint(self, gather):
+        # Over the footprint, on an edge, on a corner, and beside it: the
+        # block spans every azimuth of the first three.
+        env = one_block_env(height=50.0)
+        receivers = [(50.0, 50.0, 1.0), (45.0, 55.0, 1.0), (100.0, 50.0, 1.0),
+                     (0.0, 0.0, 1.0), (-50.0, 50.0, 1.0)]
+        tops = [(50.0, 50.0, 90.0), (40.0, 50.0, 90.0), (40.0, 40.0, 90.0), (30.0, 50.0, 90.0)]
+        ps = [p for p in tops for _ in receivers]
+        want = self.check(env, ps, receivers * len(tops))
+        assert want.tolist() == [True, True, False, False, False] * len(tops)
+
+    def test_blocks_across_the_seam(self, gather):
+        # Seen from either transmitter, the first block straddles the +-pi
+        # azimuth; both see each receiver at almost the same azimuth, so
+        # their links interleave by azimuth, and by order too.
+        blocks = (
+            BuildingBlock((20.0, 50.0), 10.0, 60.0),
+            BuildingBlock((-20.0, 35.0), 5.0, 60.0),
+            BuildingBlock((-20.0, 65.0), 5.0, 60.0),
+        )
+        env = Environment(d1=200.0, d2=200.0, blocks=blocks, seed=0)
+        ys = np.linspace(0.0, 100.0, 101)
+        qs = np.column_stack([np.full(ys.size, -40.0), ys, np.full(ys.size, 1.0)])
+        tx = np.array([[50.0, 50.0, 90.0], [50.0, 50.5, 90.0]])
+        want = self.check(env, np.tile(tx, (ys.size, 1)), np.repeat(qs, 2, axis=0))
+        assert want[np.repeat(ys == 50.0, 2)].all() and not want.all()
+
+    def test_link_count_mismatch_rejected(self, city_env):
+        qs = np.array([[100.0, 100.0, 1.0], [200.0, 200.0, 1.0]])
+        for p in (np.tile((0.0, 0.0, 90.0), (3, 1)), np.zeros((1, 3)), np.zeros(2)):
+            with pytest.raises(ValueError, match=r"p of shape \(3,\) or \(n, 3\)"):
+                los_blocked_mask(city_env, p, qs)
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_sightline_endpoints_rejected(self, city_env, bad):
@@ -308,6 +413,9 @@ class TestNonFinite:
             los_blocked_mask(city_env, (0.0, 0.0, 90.0), qs)
         with pytest.raises(ValueError, match="finite"):
             is_los(city_env, (0.0, 0.0, 90.0), (bad, 1.0, 1.0))
+        ps = np.array([[0.0, 0.0, 90.0], [0.0, bad, 90.0]])
+        with pytest.raises(ValueError, match="finite"):
+            los_blocked_mask(city_env, ps, qs)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["x", "y", "half_width", "height"])

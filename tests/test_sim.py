@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from absmove import (
+    BuildingBlock,
     ChannelParams,
     ConfigError,
     ContractViolationError,
@@ -24,6 +25,7 @@ from absmove import (
     feasible_sets,
     fly_step,
     gap_bound,
+    los_blocked_mask,
     nearest_valid_abs_cell,
     obstructed_mask,
     plan_period,
@@ -430,23 +432,47 @@ class TestAgainstStepwise:
         # Still users and one optimum: after the first flight the fleet
         # never moves again, so a hover run would span several periods.
         cfg = tiny_cfg(gu_speed=0.0, solver=SolverConfig(name="oracle"), plan_before_start=True)
-        links, coverage_mask_ = [], sim.coverage_mask
+        packed, band, verdicts_, coverage_mask_ = [], [], sim.branch_verdicts, sim.coverage_mask
+
+        def recording_verdicts(params, p, qs):
+            packed.append((len(qs), 1 + int((p[1:] != p[:-1]).any(axis=1).sum())))
+            return verdicts_(params, p, qs)
 
         def recording_coverage_mask(params, env, p, qs):
-            links.append(len(qs))
+            assert np.shape(p) == (len(qs), 3)
+            band.append(len(qs))
             return coverage_mask_(params, env, p, qs)
 
+        monkeypatch.setattr(sim, "branch_verdicts", recording_verdicts)
         monkeypatch.setattr(sim, "coverage_mask", recording_coverage_mask)
         log = run_trial(cfg, tiny_env, tiny_gcm)
-        j, f, m = cfg.steps_per_period, cfg.flight_steps, cfg.n_gus
+        j, f, m, n = cfg.steps_per_period, cfg.flight_steps, cfg.n_gus, cfg.n_abs
         held = log.abs_positions[f:]
         assert (held == held[0]).all() and (log.abs_positions[0] != held[0]).any(axis=1).all()
-        # Per ABS: one call per first-period step in transit, one for the
-        # rest of that period from the arrival step on, then one per period.
-        per_abs = [m] * (f - 1) + [(j - f + 1) * m] + [j * m] * (cfg.n_periods - 1)
-        assert links == per_abs * cfg.n_abs
+        # Runs in step order, then ABS order, packed whole into calls of at
+        # most J*M links, as (links, runs of one transmitter): the steps in
+        # transit of every ABS in one call; each ABS's run from the arrival
+        # step to the period's end; then one call per ABS per period. The
+        # transit rows fit in one call, and the first hover run overflows it.
+        assert n * (f - 1) <= j < n * (f - 1) + j - f + 1
+        assert packed == ([(n * (f - 1) * m, n * (f - 1))] + [((j - f + 1) * m, 1)] * n
+                          + [(j * m, 1)] * (n * (cfg.n_periods - 1)))
+        # One band call per packed call, so the traced site fires even on an
+        # empty band.
+        assert len(band) == len(packed)
         monkeypatch.undo()
         assert_same_log(log, oracles.stepwise_trial(cfg, tiny_env, tiny_gcm))
+
+    def test_runs_fill_calls_up_to_a_period(self):
+        # J = 4 over 8 steps: ABS 0 moves every step, ABS 1 holds still, so
+        # its runs are its two periods. Runs in (start step, ABS) order fill
+        # a call while its rows stay at or under J.
+        abs_steps = np.zeros((8, 2, 3))
+        abs_steps[:, 0, 0] = np.arange(8)
+        calls = [(steps.tolist(), fleet.tolist())
+                 for steps, fleet in sim._packed_runs(abs_steps, 4)]
+        assert calls == [([0], [0]), ([0, 1, 2, 3], [1] * 4), ([1, 2, 3, 4], [0] * 4),
+                         ([4, 5, 6, 7], [1] * 4), ([5, 6, 7], [0] * 3)]
 
 
 class TestFlightContracts:
@@ -509,6 +535,34 @@ class TestClampWarnings:
                              axis=-1)
         assert counted == int((np.hypot(d2d, 4.0) < 10.0).sum())
         assert max(int(str(r.message).split()[0]) for r in record) > cfg.n_gus
+
+
+    def test_clamped_links_in_the_band_warn_once(self):
+        # Flown at 5 m with a 3 m block between the cells: at -40 dBm the
+        # LoS bit decides links from about 0.5 to 10 m long, so clamped links
+        # fall in the band. The per-link verdicts count each clamped link,
+        # and the band call under them stays silent.
+        spec = GridSpec(d1=20.0, d2=20.0, k1=2, k2=2, k1p=2, k2p=2, abs_alt=5.0)
+        params = ChannelParams(abs_alt=5.0, gu_alt=1.0, tx_power_dbm=-40.0)
+        env = Environment(d1=20.0, d2=20.0, seed=0,
+                          blocks=(BuildingBlock((10.0, 10.0), 2.0, 3.0),))
+        cfg = tiny_cfg(spec=spec, channel=params, env=EnvConfig(num_blocks=0, block_width=4.0),
+                       gu_speed=0.5)
+        with pytest.warns(ModelValidityWarning):
+            gcm = build_gcm(env, params, spec)
+        with pytest.warns(ModelValidityWarning) as record:
+            log = run_trial(cfg, env, gcm)
+        assert {r.filename for r in record} == {sim.__file__}
+        counted = sum(int(str(r.message).split()[0]) for r in record)
+        ps = np.repeat(log.abs_positions[1:].reshape(-1, 3), cfg.n_gus, axis=0)
+        qs = np.repeat(log.gu_positions[1:], cfg.n_abs, axis=0).reshape(-1, 2)
+        qs = np.column_stack([qs, np.full(len(qs), params.gu_alt)])
+        clamped = np.linalg.norm(ps - qs, axis=1) < 10.0
+        assert counted == int(clamped.sum())
+        with pytest.warns(ModelValidityWarning):
+            covered_los, covered_nlos = sim.branch_verdicts(params, ps, qs)
+        in_band = clamped & (covered_los != covered_nlos)
+        assert in_band.any() and los_blocked_mask(env, ps[in_band], qs[in_band]).any()
 
 
 class TestValidateTrialLog:
