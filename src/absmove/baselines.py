@@ -16,6 +16,9 @@ import numpy as np
 from .bilp import BilpInstance, Placement, covered_weight, make_placement
 from .errors import InfeasibleSetError, OracleCapError
 
+# Candidates scored per covered_weight call in ea_step; bounds its memory.
+_EA_BLOCK = 256
+
 
 def exact_optimum(
     instance: BilpInstance, cap: int = 5_000_000, branch_and_bound: bool = True
@@ -28,6 +31,10 @@ def exact_optimum(
     (coverage is submodular, so those marginals only shrink with depth).
     With ``branch_and_bound`` off, the raw enumeration size is checked
     against ``cap`` and oversized instances are rejected.
+
+    Each node scores its whole free pool in one array step; a child's value
+    is its parent's plus that gain, and the cells taken on the path are one
+    mask over ``u_ids``.
     """
     z = instance.z_sub
     w = instance.weights
@@ -46,9 +53,11 @@ def exact_optimum(
     best_val = -1
     best_cells: list[int] | None = None
     chosen: list[int] = []
+    taken = np.zeros(instance.n_u, dtype=bool)
 
-    def gains(pool: np.ndarray, covered: np.ndarray) -> np.ndarray:
-        return (z[pool] & ~covered) @ w
+    def free_gains(depth: int, covered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        pool = pools[depth][~taken[pools[depth]]]
+        return pool, (z[pool] & ~covered) @ w
 
     def dfs(depth: int, covered: np.ndarray, value: int) -> None:
         nonlocal best_val, best_cells
@@ -56,24 +65,28 @@ def exact_optimum(
             if value > best_val:
                 best_val, best_cells = value, chosen.copy()
             return
+        pool, g = free_gains(depth, covered)
         if branch_and_bound:
             bound = value
             for k in range(depth, n):
-                avail = pools[k][~np.isin(pools[k], chosen)]
-                if avail.size:
-                    bound += int(gains(avail, covered).max())
+                gk = g if k == depth else free_gains(k, covered)[1]
+                if gk.size:
+                    bound += int(gk.max())
             if bound <= best_val:
                 return
-        pool = pools[depth][~np.isin(pools[depth], chosen)]
         if pool.size == 0:
             return
-        g = gains(pool, covered)
-        for t in np.lexsort((pool, -g)):
-            if branch_and_bound and value + int(g[t]) <= best_val and depth == n - 1:
+        last = branch_and_bound and depth == n - 1
+        free, gains = pool.tolist(), g.tolist()
+        for t in np.lexsort((pool, -g)).tolist():
+            gain = gains[t]
+            if last and value + gain <= best_val:
                 break
-            p = int(pool[t])
+            p = free[t]
             chosen.append(p)
-            dfs(depth + 1, covered | z[p], value + int((z[p] & ~covered) @ w))
+            taken[p] = True
+            dfs(depth + 1, covered | z[p], value + gain)
+            taken[p] = False
             chosen.pop()
 
     dfs(0, np.zeros(len(w), dtype=bool), 0)
@@ -151,10 +164,14 @@ def ea_step(
     Every candidate perturbs the input placement: each ABS cell is redrawn
     uniformly from the cells of its pool within ``mutation_radius`` of its
     input cell, resampling a few times for distinctness and keeping the
-    input cell when that fails. After ``rounds`` candidates the best one is
-    returned, with the unmutated incumbent always in the running, so
+    input cell when that fails; a round whose cells still collide is
+    skipped. So drawing a candidate never depends on scoring one: the
+    candidates are drawn in order and scored ``_EA_BLOCK`` at a time in one
+    ``covered_weight`` call each, and the earliest candidate strictly better
+    than the input and every candidate before it wins, as a one-by-one scan
+    would pick. The unmutated incumbent is always in the running, so
     coverage never decreases. Iterative refinement, where wanted, is chained
-    through successive calls.
+    through successive calls. Each input cell must lie in its ABS's pool.
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
@@ -165,28 +182,37 @@ def ea_step(
     n = instance.n_abs
     # Candidates are positions in u_ids, so distinct positions are distinct cells.
     base = [int(p) for p in instance.positions_of_cells(current.abs_cells)]
+    for i, p in enumerate(base):
+        if not instance.in_pool[p, i]:
+            raise ValueError(
+                f"start cell {int(instance.u_ids[p])} of ABS {i} lies outside its pool"
+            )
     pools = []
     for p, pool in zip(base, instance.per_abs_pos):
         d = np.hypot(*(xy[pool] - xy[p]).T)
-        pools.append(pool[d <= mutation_radius])
+        pools.append(pool[d <= mutation_radius].tolist())
 
     best_pos = base
     best_val = current.coverage_value
-    for _ in range(rounds):
+    block: list[list[int]] = []
+    for r in range(rounds):
         cand: list[int] = []
         for i in range(n):
             pos = base[i]
             for _ in range(8):
-                pick = int(pools[i][rng.integers(len(pools[i]))])
+                pick = pools[i][rng.integers(len(pools[i]))]
                 if pick not in cand:
                     pos = pick
                     break
             if pos in cand:
                 continue
             cand.append(pos)
-        if len(cand) != n:
-            continue
-        val = covered_weight(instance.z_sub, cand, instance.weights)
-        if val > best_val:
-            best_pos, best_val = cand, val
+        if len(cand) == n:
+            block.append(cand)
+        if block and (len(block) == _EA_BLOCK or r == rounds - 1):
+            vals = covered_weight(instance.z_sub, block, instance.weights)
+            k = int(np.argmax(vals))
+            if vals[k] > best_val:
+                best_pos, best_val = block[k], int(vals[k])
+            block = []
     return make_placement(instance.u_ids[best_pos], best_val)

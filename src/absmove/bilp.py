@@ -72,15 +72,18 @@ def feasible_sets(
     return tuple(pools)
 
 
-def covered_weight(z: np.ndarray, rows, weights, cols=None) -> int:
+def covered_weight(z: np.ndarray, rows, weights, cols=None) -> int | np.ndarray:
     """Total weight of the columns of the boolean map ``z`` (0-based traversal
     cells as rows) that at least one of ``rows`` covers, keeping only ``cols``
-    when given. The package's one coverage count; no rows cover nothing."""
+    when given. The package's one coverage count; no rows cover nothing.
+
+    ``rows`` is one row set, scored as an int, or a (k, N) array of k sets of
+    N rows each, scored in one array step as an int64 array of k counts.
+    """
     rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
-        return 0
-    hit = z[rows] if cols is None else z[rows][:, cols]
-    return int(weights @ hit.any(axis=0))
+    hit = z[rows] if cols is None else z[rows][..., cols]
+    counts = hit.any(axis=-2) @ weights
+    return int(counts) if rows.ndim == 1 else counts
 
 
 def occupied_grids(spec: GridSpec, gu_positions, weight_multiplicity: bool = True):

@@ -5,10 +5,11 @@ formulas and first principles, avoiding the package's own code paths: path
 loss as literal scalar arithmetic, Marcum Q through the noncentral chi-square
 tail, line of sight by dense segment sampling, and the optimizers by plain
 enumeration or an LP solver. Tests compare package outputs against these.
-Three references instead keep a simpler form of a package routine: the
+Four references instead keep a simpler form of a package routine: the
 fixing pass as a literal column walk, the map build as the full chain on
-every link, and the trial as one loop that moves, flies, plans and scores
-step by step.
+every link, the trial as one loop that moves, flies, plans and scores
+step by step, and the evolutionary step as one loop that scores each
+candidate as it is drawn.
 """
 
 from __future__ import annotations
@@ -432,6 +433,42 @@ def greedy_fill(instance) -> tuple[list[int], int]:
         gains.sort(key=lambda t: (t[0], t[1]), reverse=True)
         taken.append(gains[0][2])
     return taken, coverage_value(z[taken], w)
+
+
+def sequential_ea_step(start_cells, start_value: int, instance, rounds: int,
+                       mutation_radius: float, seed: int) -> tuple[tuple[int, ...], int]:
+    """The evolutionary step as one loop that draws a candidate and scores it
+    before drawing the next, keeping a candidate only when strictly better.
+    Returns (1-based cells per ABS, coverage)."""
+    rng = np.random.default_rng(seed)
+    xy = instance.u_xy
+    n = instance.n_abs
+    base = [int(p) for p in np.searchsorted(instance.u_ids, start_cells)]
+    pools = []
+    for p, pool in zip(base, instance.per_abs_pos):
+        d = np.hypot(*(xy[pool] - xy[p]).T)
+        pools.append(pool[d <= mutation_radius])
+
+    best_pos = base
+    best_val = start_value
+    for _ in range(rounds):
+        cand: list[int] = []
+        for i in range(n):
+            pos = base[i]
+            for _ in range(8):
+                pick = int(pools[i][rng.integers(len(pools[i]))])
+                if pick not in cand:
+                    pos = pick
+                    break
+            if pos in cand:
+                continue
+            cand.append(pos)
+        if len(cand) != n:
+            continue
+        val = coverage_value(instance.z_sub[cand], instance.weights)
+        if val > best_val:
+            best_pos, best_val = cand, val
+    return tuple(int(c) for c in instance.u_ids[best_pos]), best_val
 
 
 def two_means(points: np.ndarray) -> np.ndarray:

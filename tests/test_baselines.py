@@ -18,6 +18,7 @@ from absmove import (
 )
 
 import oracles
+from absmove.baselines import _EA_BLOCK
 from conftest import random_instance, synth_gcm
 
 
@@ -71,6 +72,15 @@ class TestExactOptimum:
             with_bnb = exact_optimum(inst, branch_and_bound=True)
             plain = exact_optimum(inst, branch_and_bound=False)
             assert with_bnb.coverage_value == plain.coverage_value
+
+    @pytest.mark.parametrize("n_abs", [2, 3, 4])
+    def test_branch_and_bound_keeps_plain_search_cells(self, n_abs):
+        # The same cells, not only the same value: pins the search order.
+        for seed in range(30):
+            _, _, _, inst = random_instance(seed + 100 * n_abs, n_abs=n_abs,
+                                            n_cells=n_abs + 4, shared_pools=True)
+            plain = exact_optimum(inst, branch_and_bound=False)
+            assert exact_optimum(inst, branch_and_bound=True) == plain
 
     def test_cap_rejects_oversized_plain_search(self):
         _, _, _, inst = random_instance(2, n_abs=2, n_cells=8, shared_pools=True)
@@ -185,6 +195,15 @@ class TestKmeansInit:
             kmeans_init(assemble(empty_gcm, pools, gu), kmeans_centroids(gu, 2))
 
 
+def free_start(inst, seed):
+    """Distinct random start cells, each from its ABS's pool, and their value."""
+    rng = np.random.default_rng(seed)
+    pos: list[int] = []
+    for pool in inst.per_abs_pos:
+        pos.append(next(int(p) for p in rng.permutation(pool) if p not in pos))
+    return make_placement(inst.u_ids[pos], covered_weight(inst.z_sub, pos, inst.weights))
+
+
 class TestEaStep:
     def make_setup(self, seed, n_cells=6):
         gcm, pools, gu, inst = random_instance(seed, n_abs=2, n_cells=n_cells,
@@ -224,6 +243,69 @@ class TestEaStep:
         a = ea_step(start, inst, **knobs)
         b = ea_step(start, inst, **knobs)
         assert a.abs_cells == b.abs_cells and a.coverage_value == b.coverage_value
+
+    @staticmethod
+    def assert_matches_sequential(inst, start, **knobs):
+        out = ea_step(start, inst, **knobs)
+        cells, value = oracles.sequential_ea_step(
+            start.abs_cells, start.coverage_value, inst, **knobs
+        )
+        assert (out.abs_cells, out.coverage_value) == (cells, value)
+
+    @pytest.mark.parametrize("n_abs", range(1, 6))
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_matches_sequential_loop(self, n_abs, shared):
+        for seed in range(6):
+            _, _, _, inst = random_instance(seed, n_abs=n_abs, n_cells=n_abs + 4,
+                                            shared_pools=shared)
+            start = free_start(inst, seed)
+            for radius in (30.0, 1e6):
+                self.assert_matches_sequential(inst, start, rounds=97,
+                                               mutation_radius=radius, seed=seed)
+
+    @pytest.mark.parametrize("n_abs", range(2, 6))
+    def test_matches_sequential_loop_with_collisions(self, n_abs):
+        # One spare cell: redraws collide, some exhaust all eight tries and
+        # the round is skipped.
+        for seed in range(4):
+            _, _, _, inst = random_instance(seed, n_abs=n_abs, n_cells=n_abs + 1,
+                                            shared_pools=True)
+            self.assert_matches_sequential(inst, free_start(inst, seed), rounds=300,
+                                           mutation_radius=1e6, seed=seed)
+
+    @pytest.mark.parametrize("rounds", [1, _EA_BLOCK - 1, _EA_BLOCK, _EA_BLOCK + 1,
+                                        2 * _EA_BLOCK + 57])
+    def test_matches_sequential_loop_across_blocks(self, rounds):
+        for seed in range(4):
+            _, _, _, inst = random_instance(seed, n_abs=3, n_cells=9, n_grids=9,
+                                            shared_pools=True, density=0.2)
+            self.assert_matches_sequential(inst, free_start(inst, seed), rounds=rounds,
+                                           mutation_radius=1e6, seed=seed)
+
+    def test_matches_sequential_loop_on_zero_gain_landscape(self):
+        spec = GridSpec(d1=100.0, d2=100.0, k1=3, k2=3, k1p=3, k2p=3, abs_alt=90.0)
+        gcm = synth_gcm(spec, np.ones((9, 9), dtype=bool))
+        pool = np.arange(1, 10, dtype=np.int64)
+        inst = assemble(gcm, (pool, pool), spec.ground.centers[[0, 3], :2])
+        start = make_placement([1, 2], covered_weight(inst.z_sub, [0, 1], inst.weights))
+        for seed in range(5):
+            self.assert_matches_sequential(inst, start, rounds=2 * _EA_BLOCK + 3,
+                                           mutation_radius=1e6, seed=seed)
+
+    @pytest.mark.parametrize("radius", [0.0, 1e6])
+    def test_start_outside_its_pool_rejected(self, radius):
+        spec = GridSpec(d1=100.0, d2=100.0, k1=3, k2=3, k1p=3, k2p=3, abs_alt=90.0)
+        gcm = synth_gcm(spec, np.eye(9, dtype=bool))
+        pools = (np.array([1, 2], dtype=np.int64), np.array([3, 4], dtype=np.int64))
+        gu = spec.ground.centers[[0, 2, 3], :2]
+        inst = assemble(gcm, pools, gu)
+        # Cell 3 is in the instance, but only ABS 1 may take it.
+        start = make_placement([3, 1], evaluate_placement(gcm, [3, 1], gu))
+        with pytest.raises(ValueError, match="ABS 0"):
+            ea_step(start, inst, rounds=10, mutation_radius=radius, seed=0)
+        start = make_placement([2, 1], evaluate_placement(gcm, [2, 1], gu))
+        with pytest.raises(ValueError, match="ABS 1"):
+            ea_step(start, inst, rounds=10, mutation_radius=radius, seed=0)
 
     def test_config_validation(self):
         inst, start = self.make_setup(0)

@@ -221,6 +221,16 @@ class TestEvaluate:
         assert covered_weight(z, [0, 2], w[[2, 1]], cols=[2, 1]) == 11
         assert covered_weight(z, [], w) == 0
 
+    def test_row_sets_scored_at_once(self):
+        gcm, _, _, inst = random_instance(21, n_abs=3, n_cells=8)
+        sets = np.random.default_rng(0).integers(0, inst.n_u, size=(40, 3))
+        got = covered_weight(inst.z_sub, sets, inst.weights)
+        assert got.shape == (40,)
+        assert got.tolist() == [covered_weight(inst.z_sub, s, inst.weights) for s in sets]
+        cols = [2, 0]
+        got = covered_weight(gcm.z, sets, inst.weights[:2], cols=cols)
+        assert got.tolist() == [covered_weight(gcm.z, s, inst.weights[:2], cols) for s in sets]
+
     def test_multiplicity_toggle(self):
         gcm, _, gu, inst = random_instance(13, n_gus=9)
         cells = [int(c) for c in inst.u_ids[:2]]

@@ -674,3 +674,24 @@ class TestExports:
         assert data["step_seconds"] == 1.0
         assert np.asarray(data["abs_positions"]).shape == log.abs_positions.shape
         assert np.asarray(data["gu_positions"]).shape == log.gu_positions.shape
+
+    def test_trajectory_json_bytes_match_streamed_dump(self, tmp_path, tiny_env, tiny_gcm):
+        log = run_trial(tiny_cfg(), tiny_env, tiny_gcm)
+        awkward = np.array([0.1 + 0.2, 1e-300, -0.0, 123456789.123456789, 5e-324, 1e300])
+        log = dataclasses.replace(
+            log,
+            abs_positions=np.resize(awkward, log.abs_positions.shape) * 370.0,
+            gu_positions=np.resize(awkward[::-1], log.gu_positions.shape),
+        )
+        path = tmp_path / "traj.json"
+        export_trajectory_json(log, path)
+        payload = {
+            "step_seconds": log.cfg.step,
+            "abs_positions": log.abs_positions.tolist(),
+            "gu_positions": log.gu_positions.tolist(),
+        }
+        with open(tmp_path / "streamed.json", "w") as fh:
+            json.dump(payload, fh, sort_keys=True)
+            fh.write("\n")
+        assert path.read_bytes() == (tmp_path / "streamed.json").read_bytes()
+        assert b"-0.0" in path.read_bytes() and b"1e-300" in path.read_bytes()
