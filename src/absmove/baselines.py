@@ -136,19 +136,29 @@ def kmeans_init(instance: BilpInstance, centroids) -> Placement:
     """Snap per-ABS centroids, from ``kmeans_centroids``, to distinct cells.
 
     Centroid i takes the cell of ABS i's pool nearest to it that no earlier
-    centroid took; the start is scored on the instance's objective.
+    centroid took. When earlier centroids took its whole pool, a free cell
+    is routed to ABS i along an augmenting path (``BilpInstance.seat``),
+    trying the free cells nearest centroid i first and keeping the later
+    ABSs out of the path; InfeasibleSetError is raised only when no
+    distinct assignment exists. The start is scored on the instance's
+    objective.
     """
-    chosen: list[int] = []
+    n = instance.n_abs
+    assign: list[int | None] = [None] * n
+    held = np.zeros(instance.n_u, dtype=bool)
     for i, (c, pool) in enumerate(zip(centroids, instance.per_abs_pos)):
-        d = np.hypot(*(instance.u_xy[pool] - c).T)
-        for t in np.argsort(d, kind="stable"):
-            if int(pool[t]) not in chosen:
-                chosen.append(int(pool[t]))
-                break
+        own = pool[~held[pool]]
+        if own.size:
+            assign[i] = int(own[np.argmin(np.hypot(*(instance.u_xy[own] - c).T))])
         else:
-            raise InfeasibleSetError(f"no distinct cell left for ABS {i}")
-    value = covered_weight(instance.z_sub, chosen, instance.weights)
-    return make_placement(instance.u_ids[chosen], value)
+            free = np.flatnonzero(~held)
+            d = np.hypot(*(instance.u_xy[free] - c).T)
+            if not any(instance.seat(assign, int(f), set(range(i + 1, n)))
+                       for f in free[np.argsort(d, kind="stable")]):
+                raise InfeasibleSetError(f"no distinct cell left for ABS {i}")
+        held[assign[: i + 1]] = True
+    value = covered_weight(instance.z_sub, assign, instance.weights)
+    return make_placement(instance.u_ids[assign], value)
 
 
 def ea_step(

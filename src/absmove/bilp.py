@@ -192,6 +192,24 @@ class BilpInstance:
     def d(self) -> np.ndarray:
         return self.l / self.n_cols
 
+    def seat(self, assign: list, cell: int, tried: set[int]) -> bool:
+        """Seat ``cell`` (a position in u_ids) along a Kuhn augmenting path.
+
+        ``assign`` holds each ABS's cell position or None. The cell claims
+        the first ABS in index order whose pool holds it and that is not in
+        ``tried``, moving the cell that ABS holds on the same way; visited
+        ABSs join ``tried``. On success one more ABS holds a cell and the
+        held cells grow by exactly ``cell``; on failure ``assign`` is
+        unchanged.
+        """
+        for i in np.flatnonzero(self.in_pool[cell]):
+            if i not in tried:
+                tried.add(i)
+                if assign[i] is None or self.seat(assign, assign[i], tried):
+                    assign[i] = cell
+                    return True
+        return False
+
     def positions_of_cells(self, cells) -> np.ndarray:
         """Map 1-based traversal cell ids to positions in u_ids."""
         cells = np.asarray(cells, dtype=np.int64)

@@ -8,9 +8,8 @@ chain is written once: ``link_budget`` gives each link's mean SNR and K,
 ``outage_probability`` its outage, and ``coverage_mask`` the verdict. A
 call takes one transmitter for every link, or one per link, and receivers
 at one altitude. ``branch_verdicts`` gives each link's verdict for both LoS
-bits without a sightline test, and ``branch_verdict_table`` the same once
-per distinct link length of a grid of horizontal offsets: a map build's
-table of verdicts.
+bits without a sightline test: the trial scores its links with it, and a
+map build its table of horizontal offsets.
 """
 
 from __future__ import annotations
@@ -194,17 +193,6 @@ def link_budget(params: ChannelParams, env: Environment, p, qs):
     return np.where(los, snr_los, snr_nlos), np.where(los, k_los, 0.0)
 
 
-def _branch_verdicts(params: ChannelParams, d2d, dz, h_bs: float, h_ut: float):
-    """Coverage of each link were it in LoS and were it not; two bool arrays
-    shaped like ``d2d``."""
-    snr_los, snr_nlos, k_los = _branch_budgets(params, d2d, dz, h_bs, h_ut)
-    p_out = outage_probability(
-        params, np.concatenate([snr_los, snr_nlos]), np.concatenate([k_los, np.zeros_like(k_los)])
-    )
-    covered = p_out < params.outage_threshold
-    return covered[: d2d.size], covered[d2d.size :]
-
-
 def branch_verdicts(params: ChannelParams, p, qs):
     """Coverage of each link from p to qs were it in LoS and were it not;
     two (n,) bool arrays, from the ``coverage_mask`` chain without its
@@ -213,26 +201,12 @@ def branch_verdicts(params: ChannelParams, p, qs):
     Where the two agree, the LoS bit cannot change the verdict, so that
     verdict is the one ``coverage_mask`` gives.
     """
-    return _branch_verdicts(params, *_link_geometry(p, qs))
-
-
-def branch_verdict_table(params: ChannelParams, dx, dy, h_bs: float, h_ut: float):
-    """Coverage of the link with horizontal offset (dx[a], dy[b]) from a
-    transmitter at height h_bs to a receiver at h_ut, were it in LoS and were
-    it not; two (len(dx), len(dy)) bool tables.
-
-    Both altitudes are fixed, so a verdict depends only on the link's
-    horizontal length and LoS bit: the chain runs once per distinct length.
-    The offsets are receiver minus transmitter, as ``_link_geometry`` takes
-    them, so each length is the float a per-link call computes.
-    """
-    d2d = np.hypot(np.asarray(dx, dtype=float)[:, None], np.asarray(dy, dtype=float)[None, :])
-    dist, inverse = np.unique(d2d, return_inverse=True)
-    # One drop per length, laid out as a per-link call lays it out.
-    dz = np.full(dist.shape, h_bs - h_ut)
-    covered_los, covered_nlos = _branch_verdicts(params, dist, dz, h_bs, h_ut)
-    inverse = inverse.reshape(d2d.shape)
-    return covered_los[inverse], covered_nlos[inverse]
+    snr_los, snr_nlos, k_los = _branch_budgets(params, *_link_geometry(p, qs))
+    p_out = outage_probability(
+        params, np.concatenate([snr_los, snr_nlos]), np.concatenate([k_los, np.zeros_like(k_los)])
+    )
+    covered = p_out < params.outage_threshold
+    return covered[: snr_los.size], covered[snr_los.size :]
 
 
 def coverage_mask(params: ChannelParams, env: Environment, p, qs) -> np.ndarray:

@@ -7,7 +7,9 @@ cell (i, j) flattens to (i - 1) * K2 + j, so cell 1 sits at the area corner.
 are the two planes.
 The connectivity map stores one bit per (traversal cell, ground cell) pair:
 whether a receiver at the ground cell's center is covered from the traversal
-cell's center.
+cell's center. ``build_gcm`` takes both branch verdicts once per map, from
+``branch_verdicts`` over the grid of distinct horizontal offsets, and tests
+sightlines only for the links whose two verdicts differ.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelParams, branch_verdict_table, coverage_mask
+from .channel import ChannelParams, branch_verdicts, coverage_mask
 from .env import Environment, obstructed_mask
 from .errors import ConfigError, GcmFormatError
 
@@ -182,8 +184,8 @@ def build_gcm(env: Environment, params: ChannelParams, spec: GridSpec) -> Gcm:
 
     Ground cells are evaluated at the receiver altitude from ``params``; the
     z = 0 coordinate of a ground cell is only a plane label. The chain runs
-    once per map, over the distinct link lengths, for both LoS bits
-    (``branch_verdict_table``). Per traversal row, each link reads its NLoS
+    once per map, over the distinct horizontal offsets, for both LoS bits
+    (``branch_verdicts``). Per traversal row, each link reads its NLoS
     verdict from that table, and ``coverage_mask`` (sightline test included)
     decides the band of links whose LoS verdict differs.
     """
@@ -203,7 +205,12 @@ def build_gcm(env: Environment, params: ChannelParams, spec: GridSpec) -> Gcm:
     # Cell (i, j) has the x of row i and the y of column j on either plane.
     dx, inv_x = _axis_offsets(eval_points[:: spec.k2p, 0], centers[:: spec.k2, 0])
     dy, inv_y = _axis_offsets(eval_points[: spec.k2p, 1], centers[: spec.k2, 1])
-    los_table, nlos_table = branch_verdict_table(params, dx, dy, spec.abs_alt, params.gu_alt)
+    # Receivers at the offsets from a transmitter at the origin: each link
+    # length is the float a per-link call computes.
+    gx, gy = np.meshgrid(dx, dy, indexing="ij")
+    offsets = np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, params.gu_alt)])
+    covered_los, covered_nlos = branch_verdicts(params, (0.0, 0.0, spec.abs_alt), offsets)
+    los_table, nlos_table = covered_los.reshape(gx.shape), covered_nlos.reshape(gx.shape)
     z = np.zeros((spec.traversal.size, spec.ground.size), dtype=bool)
     for t in np.flatnonzero(valid):
         i, j = divmod(int(t), spec.k2)

@@ -191,22 +191,10 @@ def decode_and_repair(x: np.ndarray, instance: BilpInstance) -> Placement:
             selected.pop(drop)
 
     assign: list[int | None] = [None] * n
-
-    def seat(cell: int, tried: set[int]) -> bool:
-        # Kuhn augmenting path from the cell side: claim a reachable ABS in
-        # index order, moving the cell it holds on to another ABS if need be.
-        for i in np.flatnonzero(in_pool[cell]):
-            if i not in tried:
-                tried.add(i)
-                if assign[i] is None or seat(assign[i], tried):
-                    assign[i] = cell
-                    return True
-        return False
-
     # Keep as many solver-selected cells as possible; matching (rather than
     # first-fit) makes an already-feasible selection survive unchanged.
     for cell in selected:
-        seat(cell, set())
+        instance.seat(assign, cell, set())
 
     for i in range(n):
         if assign[i] is not None:
@@ -222,7 +210,8 @@ def decode_and_repair(x: np.ndarray, instance: BilpInstance) -> Placement:
         # A path grows the held set by exactly the routed cell, so the first
         # routable cell by gain is the best one.
         idle = {j for j in range(i + 1, n) if assign[j] is None}
-        if not any(seat(int(c), set(idle)) for c in free[np.argsort(-gains, kind="stable")]):
+        if not any(instance.seat(assign, int(c), set(idle))
+                   for c in free[np.argsort(-gains, kind="stable")]):
             raise InfeasibleSetError(
                 f"cannot assign distinct cells to all {n} ABSs; pool union is too small"
             )

@@ -14,10 +14,9 @@ period from those paths, flies the fleet to the plans, then scores both
 coverage modes from the two position arrays. "Simplified" coverage snaps each
 distinct ABS position to its grid cell once and reads the connectivity map
 for all steps at once. "Actual" coverage evaluates the full channel chain at
-the continuous positions. The runs of steps that an ABS spends at one exact
-position within one period are packed, in step order, into calls of at most
-J*M links. Each call takes both branch verdicts of every link, and only the
-links whose two verdicts differ go through ``coverage_mask``.
+the continuous positions, in one call per (period, ABS) over that ABS's J
+steps and the M users. Each call takes both branch verdicts of every link,
+and only the links whose two verdicts differ go through ``coverage_mask``.
 
 Every solver is one ``SOLVERS`` entry: how it plans, and which trials it
 cannot run.
@@ -184,7 +183,7 @@ class TrialConfig:
         check = SOLVERS[self.solver.name][1]
         if check is not None:
             check(self)
-        if abs(self.spec.abs_alt - self.channel.abs_alt) > 1e-9:
+        if self.spec.abs_alt != self.channel.abs_alt:
             raise ConfigError(
                 f"grid altitude {self.spec.abs_alt} differs from channel altitude "
                 f"{self.channel.abs_alt}"
@@ -475,59 +474,33 @@ def _actual_cr(cfg: TrialConfig, environment: Environment, abs_steps: np.ndarray
     """Per-step share of users some ABS covers through the full channel
     chain; (I, N, 3) ABS and (I, M, 2) user positions in.
 
-    A run is the steps one ABS spends at one exact position within one
-    period. Runs are packed whole, in step order, into calls of at most J*M
-    links with one transmitter per link (``_packed_runs``), which bounds
-    each call's peak memory. A call takes both branch verdicts of every link
-    (``branch_verdicts``); only the band of links whose two verdicts differ
-    goes through ``coverage_mask``, sightline test included, in a call made
-    even when the band is empty. Every stage is elementwise per link, so
-    the verdicts are those of per-step calls. The verdicts warn once per
-    call for the links under the model floor, and the band call under them
-    does not warn again, so each clamped link is counted once.
-    """
-    i_total, m, _ = gu_steps.shape
-    gu3 = np.concatenate([gu_steps, np.full((i_total, m, 1), cfg.channel.gu_alt)], axis=2)
-    hit = np.zeros((i_total, abs_steps.shape[1], m), dtype=bool)
-    for steps, fleet in _packed_runs(abs_steps, cfg.steps_per_period):
-        ps = np.repeat(abs_steps[steps, fleet], m, axis=0)
-        qs = gu3[steps].reshape(-1, 3)
-        covered_los, covered = branch_verdicts(cfg.channel, ps, qs)
-        band = covered_los != covered
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ModelValidityWarning)
-            covered[band] = coverage_mask(cfg.channel, environment, ps[band], qs[band])
-        hit[steps, fleet] = covered.reshape(-1, m)
-    return hit.any(axis=1).mean(axis=1)
-
-
-def _packed_runs(abs_steps: np.ndarray, j_steps: int):
-    """Step and ABS index arrays of the (step, ABS) rows of each call, one
-    call at a time.
-
-    A run starts at every period start and wherever an ABS moves. Runs are
-    taken in step order, then ABS order, each whole with its rows in step
-    order, and packed greedily into calls of at most ``j_steps`` rows.
+    Each (period, ABS) is one call over that ABS's J steps and the M users,
+    in step order, with one transmitter per link: J*M links, and a hover
+    run is one run of equal transmitters. A call takes both branch
+    verdicts of every link (``branch_verdicts``); only the band of links
+    whose two verdicts differ goes through ``coverage_mask``, sightline test
+    included, in a call made even when the band is empty. Every stage is
+    elementwise per link, so the verdicts are those of per-step calls. The
+    verdicts warn once per call for the links under the model floor, and the
+    band call under them does not warn again, so each clamped link is
+    counted once.
     """
     i_total, n, _ = abs_steps.shape
-    new = np.ones((i_total, n), dtype=bool)
-    new[1:] = (abs_steps[1:] != abs_steps[:-1]).any(axis=2)
-    new[::j_steps] = True
-    starts, owners = np.nonzero(new)
-    runs = []
-    for k in range(n):
-        first = starts[owners == k]
-        runs += zip(first.tolist(), [k] * first.size, np.r_[first[1:], i_total].tolist())
-    runs.sort()
-    steps, fleet, rows = [], [], 0
-    for a, k, b in runs:
-        if rows + b - a > j_steps:
-            yield np.concatenate(steps), np.concatenate(fleet)
-            steps, fleet, rows = [], [], 0
-        steps.append(np.arange(a, b))
-        fleet.append(np.full(b - a, k))
-        rows += b - a
-    yield np.concatenate(steps), np.concatenate(fleet)
+    m, j_steps = gu_steps.shape[1], cfg.steps_per_period
+    gu3 = np.concatenate([gu_steps, np.full((i_total, m, 1), cfg.channel.gu_alt)], axis=2)
+    hit = np.zeros((i_total, n, m), dtype=bool)
+    for first in range(0, i_total, j_steps):
+        steps = slice(first, first + j_steps)
+        qs = gu3[steps].reshape(-1, 3)
+        for k in range(n):
+            ps = np.repeat(abs_steps[steps, k], m, axis=0)
+            covered_los, covered = branch_verdicts(cfg.channel, ps, qs)
+            band = covered_los != covered
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ModelValidityWarning)
+                covered[band] = coverage_mask(cfg.channel, environment, ps[band], qs[band])
+            hit[steps, k] = covered.reshape(-1, m)
+    return hit.any(axis=1).mean(axis=1)
 
 
 def validate_trial_log(log: TrialLog, gcm: Gcm | None = None) -> None:

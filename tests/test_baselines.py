@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from absmove import (
+    ChannelParams,
+    Environment,
     GridSpec,
     InfeasibleSetError,
     OracleCapError,
     assemble,
+    build_gcm,
     covered_weight,
     ea_step,
     evaluate_placement,
@@ -15,6 +18,7 @@ from absmove import (
     kmeans_centroids,
     kmeans_init,
     make_placement,
+    solve,
 )
 
 import oracles
@@ -193,6 +197,37 @@ class TestKmeansInit:
         pools = [np.array([5], dtype=np.int64)] * 2
         with pytest.raises(InfeasibleSetError, match="ABS 1"):
             kmeans_init(assemble(empty_gcm, pools, gu), kmeans_centroids(gu, 2))
+
+    @pytest.fixture(scope="class")
+    def corner(self):
+        """A 100 m 4x4 empty map, two users, and cell 1's centre."""
+        spec = GridSpec(d1=100.0, d2=100.0, k1=4, k2=4, k1p=4, k2p=4, abs_alt=90.0)
+        env = Environment(d1=100.0, d2=100.0, blocks=(), seed=0)
+        gcm = build_gcm(env, ChannelParams(), spec)
+        return gcm, np.array([[10.0, 10.0], [60.0, 60.0]]), spec.traversal.centers[0, :2]
+
+    @pytest.mark.parametrize("pools, want", [
+        ([[1, 2], [1]], (2, 1)),
+        ([[1, 2], [2, 3], [1]], (2, 3, 1)),
+    ], ids=["pair", "chain"])
+    def test_taken_pool_is_freed_along_a_path(self, corner, pools, want):
+        # Every centroid sits on cell 1's centre, so the earlier ABSs take
+        # the last one's whole pool; routing a free cell gives it one.
+        gcm, gu, c1 = corner
+        inst = assemble(gcm, [np.array(p, dtype=np.int64) for p in pools], gu)
+        p = kmeans_init(inst, np.tile(c1, (len(pools), 1)))
+        assert p.abs_cells == want == solve(inst).placement.abs_cells
+        assert p.coverage_value == evaluate_placement(gcm, p.abs_cells, gu)
+
+    def test_raises_only_without_a_distinct_assignment(self, corner):
+        # ABSs 0-2 share cells 1 and 2; ABS 3's cells cannot help them.
+        gcm, gu, c1 = corner
+        pools = [np.array(p, dtype=np.int64) for p in ([1], [1, 2], [2], [3, 4])]
+        inst = assemble(gcm, pools, gu)
+        with pytest.raises(InfeasibleSetError, match="ABS 2"):
+            kmeans_init(inst, np.tile(c1, (4, 1)))
+        with pytest.raises(InfeasibleSetError):
+            exact_optimum(inst)
 
 
 def free_start(inst, seed):

@@ -18,7 +18,7 @@ from absmove import (
     los_blocked_mask,
     outage_probability,
 )
-from absmove.channel import branch_verdict_table, branch_verdicts
+from absmove.channel import branch_verdicts
 
 import oracles
 
@@ -286,19 +286,21 @@ class TestCoverage:
             assert mask[i] == (p_out < params.outage_threshold), (i, p_out)
 
     def test_branch_verdict_table_matches_the_chain(self, params, empty_env):
-        # Receivers under a roof-high slab have no LoS; on open ground all do.
+        # A map build's verdict tables: one transmitter at the origin, the
+        # grid of horizontal offsets as receivers. Receivers under a
+        # roof-high slab have no LoS; on open ground all do.
         p = np.array([250.0, 250.0, 90.0])
         xs, ys = np.linspace(10.0, 490.0, 17), np.linspace(25.0, 475.0, 10)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         qs = np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, 1.0)])
+        offsets = qs - (p[0], p[1], 0.0)
         # Offsets symmetric about p, so lengths repeat.
-        assert np.unique(np.hypot(qs[:, 0] - p[0], qs[:, 1] - p[1])).size < qs.shape[0] // 2
+        assert np.unique(np.hypot(offsets[:, 0], offsets[:, 1])).size < qs.shape[0] // 2
         slab = Environment(d1=500.0, d2=500.0, seed=0,
                            blocks=(BuildingBlock((250.0, 250.0), 250.0, 80.0),))
-        covered_los, covered_nlos = branch_verdict_table(params, xs - p[0], ys - p[1], 90.0, 1.0)
-        assert covered_los.shape == covered_nlos.shape == (xs.size, ys.size)
-        assert np.array_equal(covered_los.ravel(), coverage_mask(params, empty_env, p, qs))
-        assert np.array_equal(covered_nlos.ravel(), coverage_mask(params, slab, p, qs))
+        covered_los, covered_nlos = branch_verdicts(params, (0.0, 0.0, 90.0), offsets)
+        assert np.array_equal(covered_los, coverage_mask(params, empty_env, p, qs))
+        assert np.array_equal(covered_nlos, coverage_mask(params, slab, p, qs))
         assert (covered_los != covered_nlos).any()
 
     def test_threshold_one_covers_everything_visible(self, empty_env):

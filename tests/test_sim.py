@@ -110,6 +110,18 @@ class TestTrialConfig:
         with pytest.raises(ConfigError):
             tiny_cfg(channel=ChannelParams(abs_alt=120.0))
 
+    def test_altitude_must_match_exactly(self, tiny_env):
+        # The map build compares the two altitudes exactly, so the config
+        # does too: an altitude it accepts always builds.
+        channel = ChannelParams(abs_alt=90.0 + 1e-10)
+        assert channel.abs_alt != 90.0
+        with pytest.raises(ConfigError, match="differs from channel altitude"):
+            tiny_cfg(channel=channel)
+        with pytest.raises(ConfigError, match="does not match channel altitude"):
+            build_gcm(tiny_env, channel, tiny_cfg().spec)
+        cfg = tiny_cfg(channel=ChannelParams(abs_alt=90.0))
+        build_gcm(tiny_env, cfg.channel, cfg.spec)
+
     def test_derived_quantities(self):
         cfg = tiny_cfg()
         assert cfg.n_steps == 60
@@ -428,14 +440,19 @@ class TestAgainstStepwise:
         assert_same_log(log, oracles.stepwise_trial(cfg, city_env, city_gcm))
         assert 0.0 < log.acr_actual < 1.0
 
-    def test_stationary_fleet_is_scored_per_period(self, tiny_env, tiny_gcm, monkeypatch):
+    @pytest.mark.parametrize("tx_power_dbm", [5.0, 60.0])
+    def test_one_call_per_period_and_abs(self, tiny_env, monkeypatch, tx_power_dbm):
         # Still users and one optimum: after the first flight the fleet
-        # never moves again, so a hover run would span several periods.
-        cfg = tiny_cfg(gu_speed=0.0, solver=SolverConfig(name="oracle"), plan_before_start=True)
-        packed, band, verdicts_, coverage_mask_ = [], [], sim.branch_verdicts, sim.coverage_mask
+        # never moves again, so a hover run would span several periods. At
+        # 60 dBm every link is covered with LoS and without, so every band
+        # is empty.
+        cfg = tiny_cfg(gu_speed=0.0, solver=SolverConfig(name="oracle"), plan_before_start=True,
+                       channel=ChannelParams(tx_power_dbm=tx_power_dbm))
+        gcm = build_gcm(tiny_env, cfg.channel, cfg.spec)
+        calls, band, verdicts_, coverage_mask_ = [], [], sim.branch_verdicts, sim.coverage_mask
 
         def recording_verdicts(params, p, qs):
-            packed.append((len(qs), 1 + int((p[1:] != p[:-1]).any(axis=1).sum())))
+            calls.append((np.array(p), np.array(qs)))
             return verdicts_(params, p, qs)
 
         def recording_coverage_mask(params, env, p, qs):
@@ -445,34 +462,27 @@ class TestAgainstStepwise:
 
         monkeypatch.setattr(sim, "branch_verdicts", recording_verdicts)
         monkeypatch.setattr(sim, "coverage_mask", recording_coverage_mask)
-        log = run_trial(cfg, tiny_env, tiny_gcm)
+        log = run_trial(cfg, tiny_env, gcm)
         j, f, m, n = cfg.steps_per_period, cfg.flight_steps, cfg.n_gus, cfg.n_abs
         held = log.abs_positions[f:]
         assert (held == held[0]).all() and (log.abs_positions[0] != held[0]).any(axis=1).all()
-        # Runs in step order, then ABS order, packed whole into calls of at
-        # most J*M links, as (links, runs of one transmitter): the steps in
-        # transit of every ABS in one call; each ABS's run from the arrival
-        # step to the period's end; then one call per ABS per period. The
-        # transit rows fit in one call, and the first hover run overflows it.
-        assert n * (f - 1) <= j < n * (f - 1) + j - f + 1
-        assert packed == ([(n * (f - 1) * m, n * (f - 1))] + [((j - f + 1) * m, 1)] * n
-                          + [(j * m, 1)] * (n * (cfg.n_periods - 1)))
-        # One band call per packed call, so the traced site fires even on an
+        # One verdict call per (period, ABS), in that order, over the ABS's
+        # J steps and the M users in step order: J*M links, one transmitter
+        # per link.
+        assert len(calls) == cfg.n_periods * n
+        for c, (p, qs) in enumerate(calls):
+            e, k = divmod(c, n)
+            steps = slice(e * j + 1, (e + 1) * j + 1)
+            assert p.shape == qs.shape == (j * m, 3)
+            assert np.array_equal(p, np.repeat(log.abs_positions[steps, k], m, axis=0))
+            assert np.array_equal(qs[:, :2], log.gu_positions[steps].reshape(-1, 2))
+            assert (qs[:, 2] == cfg.channel.gu_alt).all()
+        # One band call under each, so the traced site fires even on an
         # empty band.
-        assert len(band) == len(packed)
+        assert len(band) == len(calls)
+        assert any(band) == (tx_power_dbm == 5.0)
         monkeypatch.undo()
-        assert_same_log(log, oracles.stepwise_trial(cfg, tiny_env, tiny_gcm))
-
-    def test_runs_fill_calls_up_to_a_period(self):
-        # J = 4 over 8 steps: ABS 0 moves every step, ABS 1 holds still, so
-        # its runs are its two periods. Runs in (start step, ABS) order fill
-        # a call while its rows stay at or under J.
-        abs_steps = np.zeros((8, 2, 3))
-        abs_steps[:, 0, 0] = np.arange(8)
-        calls = [(steps.tolist(), fleet.tolist())
-                 for steps, fleet in sim._packed_runs(abs_steps, 4)]
-        assert calls == [([0], [0]), ([0, 1, 2, 3], [1] * 4), ([1, 2, 3, 4], [0] * 4),
-                         ([4, 5, 6, 7], [1] * 4), ([5, 6, 7], [0] * 3)]
+        assert_same_log(log, oracles.stepwise_trial(cfg, tiny_env, gcm))
 
 
 class TestFlightContracts:
