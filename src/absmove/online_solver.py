@@ -6,7 +6,9 @@ Between two taken cells the dual state moves in closed form, so a pass
 prices a window of columns in one vector step and jumps from one take to
 the next instead of walking column by column. The whole pass is repeated
 from independent seeds and the best repaired placement wins, which turns
-extra compute directly into solution quality.
+extra compute directly into solution quality. The restarts' passes are
+priced together, one window of each per vector step, but share no state:
+each restart's x, decoded placement and value are those of its own pass.
 """
 
 from __future__ import annotations
@@ -66,14 +68,19 @@ def gap_bound(instance: BilpInstance, duplication: int) -> float:
     )
 
 
-# Columns priced per vector step. Takes come about every 60-100 columns
-# on the benchmark scenes; a window that ends early at a take wastes the
-# rest of its pricing, one that is too short costs a step per window.
+# Columns of each pass priced per vector step. Takes come about every
+# 60-100 columns on the benchmark scenes; a window that ends early at a take
+# wastes the rest of its pricing, one that is too short costs a step per
+# window. Timed on passes captured from benchmark trials (2 cores, median of
+# 15 repeats, against 128): `family` (K=10) runs 5-12% faster at 64-96 and
+# 8-45% slower at 32 or 160; `city` (K=3) runs 4-7% slower at 96, 10-15%
+# slower at 64 and within 3% at 160. No width beats 128 on both.
 _LOOKAHEAD = 128
 
 
-def _greedy_pass(instance: BilpInstance, order: np.ndarray) -> np.ndarray:
-    """One fixing pass over the columns in ``order``; returns the binary x.
+def _greedy_pass(instance: BilpInstance, orders: np.ndarray) -> np.ndarray:
+    """Fixing passes over the columns in each row of ``orders``, all at
+    once; returns one binary x per row.
 
     Each column is taken when its reward beats its price against the row
     multipliers y, and y then takes one projected subgradient step of size
@@ -91,51 +98,72 @@ def _greedy_pass(instance: BilpInstance, order: np.ndarray) -> np.ndarray:
     its C column has come since. a_t's pair rows are still 0 when it is
     priced, so its price is the total row minus the rows of the ABSs whose
     pool holds t, minus n_cols per grid it covers whose cover row is
-    raised; a_t is taken when that is negative. The pass prices the next
-    ``_LOOKAHEAD`` columns from the closed form in one vector step, jumps
-    to the first one taken, applies that take and starts the next segment
-    after it.
+    raised; a_t is taken when that is negative. Each iteration prices the
+    next ``_LOOKAHEAD`` columns of every unfinished pass from the closed
+    form in one vector step; each pass jumps to its first take, applies it
+    and starts its next segment after it. A finished pass prices only pad
+    columns and stays put, and the loop ends when every pass is finished.
+    The passes share no state, so each row of x is the one its order alone
+    gives.
     """
     n_v, n_cols, n_abs = instance.n_v, instance.n_cols, instance.n_abs
-    z, in_pool = instance.z_sub, instance.in_pool
-    members = in_pool.sum(axis=1)
-    at = np.empty(n_cols, dtype=np.int64)
-    at[order] = np.arange(n_cols)
-    # Grid v's cover row is raised after every step from raised_from[v] on;
-    # n_cols once a take has lowered it after its C column came.
-    raised_from = at[:n_v].copy()
-    head = np.zeros(1 + n_abs, dtype=np.int64)
-    drift = np.array([-n_abs] + [1] * n_abs, dtype=np.int64)
-    x = np.zeros(n_cols, dtype=np.int8)
-    x[:n_v] = 1
-    s = 0
-    while s < n_cols:
-        cols = order[s:s + _LOOKAHEAD]
-        pos = s + np.flatnonzero(cols >= n_v)
-        t = order[pos] - n_v
-        k = pos - s
+    n_runs = len(orders)
+    run = np.arange(n_runs)[:, None]
+    # Per-column tables, indexed by column id: a C column, and the pad
+    # column n_cols that fills windows past the end, has an empty pool and
+    # covers nothing, so its price is never negative.
+    pool = np.zeros((n_cols + 1, n_abs), dtype=np.int64)
+    pool[n_v:n_cols] = instance.in_pool
+    cover = np.zeros((n_cols + 1, n_v), dtype=bool)
+    cover[n_v:n_cols] = instance.z_sub
+    members = pool.sum(axis=1)
+    # What a take does to (total row, ABS rows), its step included.
+    on_take = np.concatenate([np.full((n_cols + 1, 1), n_cols - n_abs), 1 - n_cols * pool], axis=1)
+    padded = np.full((n_runs, n_cols + _LOOKAHEAD), n_cols, dtype=np.int64)
+    padded[:, :n_cols] = orders
+    # Positions are int32: the cover test compares n_v of them per priced
+    # column, and at int64 it costs about twice as much.
+    at = np.empty(orders.shape, dtype=np.int32)
+    at[run, orders] = np.arange(n_cols)
+    # Grid v's cover row in pass r is raised after every step from
+    # raised_from[r, v] on; n_cols once a take has lowered it after its C
+    # column came.
+    raised_from = at[:, :n_v].copy()
+    head = np.zeros((n_runs, 1 + n_abs), dtype=np.int64)
+    x = np.zeros(orders.shape, dtype=np.int8)
+    x[:, :n_v] = 1
+    s = np.zeros(n_runs, dtype=np.int32)
+    k = np.arange(_LOOKAHEAD, dtype=np.int32)
+    while s.min() < n_cols:
+        pos = s[:, None] + k
+        cols = padded[run, pos]
+        # Summing the bytes of this mask takes about half the time of
+        # count_nonzero along its last axis.
+        raised = cover[cols] & (raised_from[:, None] < pos[:, :, None])
         price = (
-            np.maximum(head[0] - n_abs * k, 0)
-            - in_pool[t] @ head[1:] - members[t] * k
-            - n_cols * (z[t] & (raised_from < pos[:, None])).sum(axis=1)
+            np.maximum(head[:, :1] - n_abs * k, 0)
+            - np.einsum("rln,rn->rl", pool[cols], head[:, 1:]) - members[cols] * k
+            - n_cols * np.einsum("rlv->rl", raised.view(np.uint8), dtype=np.int64)
         )
-        hit = np.flatnonzero(price < 0)
-        # Every column before p is left out; p is taken unless the window
-        # ran out first.
-        p = int(pos[hit[0]]) if hit.size else s + len(cols)
-        head[0] = max(head[0] - n_abs * (p - s), 0)
-        head[1:] += p - s
-        s = p
-        if hit.size:
-            u = int(t[hit[0]])
-            head[0] += n_cols
-            head[1:] -= n_cols * in_pool[u]
-            head += drift
-            np.maximum(head, 0, out=head)
-            vs = np.flatnonzero(z[u])
-            raised_from[vs[raised_from[vs] < p]] = n_cols
-            x[n_v + u] = 1
-            s = p + 1
+        hit = price < 0
+        took = hit.any(axis=1)
+        first = hit.argmax(axis=1)
+        # A pass leaves out every column before its first hit and takes that
+        # one; with no hit it moves past its whole window, and once finished
+        # by 0.
+        gone = np.where(took, first, np.minimum(n_cols - s, _LOOKAHEAD))
+        head[:, 0] = np.maximum(head[:, 0] - n_abs * gone, 0)
+        head[:, 1:] += gone[:, None]
+        s += gone
+        runs = np.flatnonzero(took)
+        if runs.size:
+            u = cols[runs, first[runs]]
+            head[runs] = np.maximum(head[runs] + on_take[u], 0)
+            lowered = raised_from[runs]
+            lowered[cover[u] & (lowered < s[runs, None])] = n_cols
+            raised_from[runs] = lowered
+            x[runs, u] = 1
+            s[runs] += 1
     return x
 
 
@@ -230,7 +258,9 @@ def solve(
     Each restart is one event-driven fixing pass followed by repair.
     Restart k draws its column order from default_rng([seed, k]), so raising
     ``duplication`` with the same seed reruns the exact same first restarts
-    and can only improve the returned coverage.
+    and can only improve the returned coverage. The K passes are priced
+    together in one lockstep call; then each restart's x is decoded on its
+    own, in restart order, and the first strictly best one wins.
     """
     if duplication < 1:
         raise ValueError("duplication must be at least 1")
@@ -238,13 +268,14 @@ def solve(
     best_k = 0
     values: list[int] = []
     traces: list[tuple[float, ...]] = []
+    orders = np.stack([np.random.default_rng([seed, k]).permutation(instance.n_cols)
+                       for k in range(duplication)])
+    xs = _greedy_pass(instance, orders)
     for k in range(duplication):
-        order = np.random.default_rng([seed, k]).permutation(instance.n_cols)
-        x = _greedy_pass(instance, order)
-        placement = decode_and_repair(x, instance)
+        placement = decode_and_repair(xs[k], instance)
         values.append(placement.coverage_value)
         if track_dual:
-            traces.append(_dual_trace(instance, order, x))
+            traces.append(_dual_trace(instance, orders[k], xs[k]))
         if best is None or placement.coverage_value > best.coverage_value:
             best, best_k = placement, k
     assert best is not None

@@ -18,7 +18,7 @@ from absmove import (
     los_blocked_mask,
     outage_probability,
 )
-from absmove.channel import branch_verdicts
+from absmove.channel import SPEED_OF_LIGHT, branch_verdicts
 
 import oracles
 
@@ -74,6 +74,32 @@ class TestPathLoss:
             )
             pl = _path_loss_db(params, city_env, p, q)
             assert math.isclose(pl[0], expect, rel_tol=1e-12)
+
+    def test_breakpoint_collapses_at_the_default_gu_alt(self, params):
+        # d'_BP = 4 (h_BS - 1 m)(h_UT - 1 m) f_c / c. At the default 1 m
+        # receivers it is 0, so every LoS link with d2d > 0 takes the
+        # post-breakpoint 40 log10 branch; straight below the ABS the two
+        # branches agree. At 1.5 m it is about 1187 m.
+        env = Environment(d1=3000.0, d2=3000.0, blocks=(), seed=0)
+        h_bs, fc = params.abs_alt, params.carrier_ghz
+        xs = (0.0, 30.0, 400.0, 1100.0, 1300.0, 2900.0)
+        assert params.gu_alt == 1.0
+        for h_ut, d_bp in ((params.gu_alt, 0.0),
+                           (1.5, 4.0 * (h_bs - 1.0) * 0.5 * fc * 1e9 / SPEED_OF_LIGHT)):
+            pl = _path_loss_db(params, env, (0.0, 0.0, h_bs), _receivers(*xs, alt=h_ut))
+            for x, got in zip(xs, pl):
+                d3d = math.hypot(x, h_bs - h_ut)
+                near = 28.0 + 22.0 * math.log10(d3d) + 20.0 * math.log10(fc)
+                far = (28.0 + 40.0 * math.log10(d3d) + 20.0 * math.log10(fc)
+                       - 9.0 * math.log10(d_bp**2 + (h_bs - h_ut) ** 2))
+                expect = oracles.uma_path_loss_db(x, d3d, h_bs, h_ut, fc, True)
+                assert math.isclose(got, expect, rel_tol=1e-12)
+                assert math.isclose(got, far if x > d_bp else near, rel_tol=1e-12)
+                if x > 0.0:
+                    assert abs(far - near) > 0.1
+                elif d_bp == 0.0:
+                    assert math.isclose(far, near, rel_tol=1e-12)
+        assert 1186.0 < d_bp < 1188.0
 
     def test_short_link_clamped_with_warning(self, params, empty_env):
         with pytest.warns(ModelValidityWarning):

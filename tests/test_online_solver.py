@@ -325,14 +325,38 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(inst, duplication=0)
 
+    def test_decodes_each_restart_once_in_order(self, monkeypatch):
+        # The passes run together, but each restart's x is decoded by its
+        # own call through the module global, in restart order.
+        _, _, _, inst = random_instance(14, n_cells=10, n_gus=9, shared_pools=True)
+        real = online_solver.decode_and_repair
+        seen = []
 
-def assert_matches_walk(inst, order, iterates=True):
-    """Run the pass on a fixed order and compare it with the column walk:
-    x always, and every iterate y of the dual trace when asked. Returns x."""
-    x = online_solver._greedy_pass(inst, order)
-    want_x, want_y = oracles.integer_csc_walk(inst, order)
-    assert np.array_equal(x, want_x)
-    if iterates:
+        def spy(x, instance):
+            seen.append(np.array(x, copy=True))
+            return real(x, instance)
+
+        monkeypatch.setattr(online_solver, "decode_and_repair", spy)
+        rep = solve(inst, duplication=5, seed=2)
+        assert len(seen) == 5
+        for k, x in enumerate(seen):
+            order = np.random.default_rng([2, k]).permutation(inst.n_cols)
+            assert np.array_equal(x, oracles.integer_csc_walk(inst, order)[0]), f"restart {k}"
+        assert rep.restart_values == tuple(real(x, inst).coverage_value for x in seen)
+
+
+def assert_matches_walk(inst, orders, iterates=True):
+    """Run the passes on fixed orders, one per row, in one call, and compare
+    each row with its own column walk: x always, and every iterate y of the
+    dual trace when asked. Returns the x of every row."""
+    orders = np.atleast_2d(orders)
+    xs = online_solver._greedy_pass(inst, orders)
+    assert xs.shape == orders.shape
+    for r, (order, x) in enumerate(zip(orders, xs)):
+        want_x, want_y = oracles.integer_csc_walk(inst, order)
+        assert np.array_equal(x, want_x), f"row {r}"
+        if not iterates:
+            continue
         seen = []
 
         def record(instance, y):
@@ -345,8 +369,8 @@ def assert_matches_walk(inst, order, iterates=True):
         alpha = 1.0 / math.sqrt(inst.n_cols)
         assert len(seen) == len(want_y) == inst.n_cols
         for q, (got, want) in enumerate(zip(seen, want_y)):
-            assert np.array_equal(got, want * alpha / inst.n_cols), f"iterate {q}"
-    return x
+            assert np.array_equal(got, want * alpha / inst.n_cols), f"row {r}, iterate {q}"
+    return xs
 
 
 class TestGreedyPass:
@@ -362,7 +386,8 @@ class TestGreedyPass:
                 n_gus=2 + seed % 9, density=0.2 + 0.1 * (seed % 5), shared_pools=shared,
             )
             inst = assemble(gcm, pools, gu, weight_multiplicity=multiplicity)
-            assert_matches_walk(inst, np.random.default_rng([seed, 0]).permutation(inst.n_cols))
+            assert_matches_walk(inst, [np.random.default_rng([seed, k]).permutation(inst.n_cols)
+                                       for k in range(3)])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_solve_trace_is_the_walk_on_each_restart_order(self, seed):
@@ -434,10 +459,9 @@ class TestEventPass:
             gu = rng.uniform(0.0, [spec.d1, spec.d2], size=(tc.n_gus, 2))
             inst = assemble(gcm, pools, gu)
             assert inst.n_cols > 2 * width
-            for k in range(4):
-                order = rng.permutation(inst.n_cols)
-                x = assert_matches_walk(inst, order, iterates=k == 0)
-                crossed += crosses_window(inst, order, x, width)
+            orders = np.stack([rng.permutation(inst.n_cols) for _ in range(4)])
+            xs = assert_matches_walk(inst, orders)
+            crossed += sum(crosses_window(inst, o, x, width) for o, x in zip(orders, xs))
         assert crossed >= 5
 
     @pytest.mark.parametrize("lookahead", [1, 5, 32, None])
@@ -454,9 +478,10 @@ class TestEventPass:
                     n_grids=4 + 3 * seed, n_gus=5 + 4 * seed,
                     density=0.02 + 0.04 * (seed % 6), shared_pools=bool(seed & 1),
                 )
-                order = np.random.default_rng([seed, 1]).permutation(inst.n_cols)
-                x = assert_matches_walk(inst, order, iterates=seed % 3 == 0)
-                crossed += crosses_window(inst, order, x, width)
+                rng = np.random.default_rng([seed, 1])
+                orders = np.stack([rng.permutation(inst.n_cols) for _ in range(1 + seed % 3)])
+                xs = assert_matches_walk(inst, orders, iterates=seed % 3 == 0)
+                crossed += sum(crosses_window(inst, o, x, width) for o, x in zip(orders, xs))
         # At the full window these instances fit in one or two windows; the
         # family scene test crosses it.
         assert lookahead is None or crossed >= 3
@@ -479,19 +504,77 @@ class TestEventPass:
                 mp.setattr(online_solver, "_LOOKAHEAD", lookahead)
             assert_matches_walk(inst, order)
 
-    def test_pass_that_takes_nothing(self):
-        # One ABS with one cell, visited first: its price is 0, so it is
-        # left out, and every later column is a C column.
+    @staticmethod
+    def one_cell_instance():
+        """One ABS with one cell over 141 occupied grids, a third of which
+        it covers: its single a-column is taken wherever it comes but first.
+        n_cols - 1 is no multiple of the windows tested, so where the take
+        falls changes how many windows a pass needs."""
         spec = GridSpec(d1=100.0, d2=100.0, k1=4, k2=4, k1p=12, k2p=12, abs_alt=90.0)
         z = np.zeros((16, 144), dtype=bool)
         z[5, ::3] = True
         gcm = synth_gcm(spec, z)
-        gu = spec.ground.centers[:140, :2]
-        inst = assemble(gcm, (np.array([6], dtype=np.int64),), gu)
+        gu = spec.ground.centers[:141, :2]
+        return assemble(gcm, (np.array([6], dtype=np.int64),), gu)
+
+    @staticmethod
+    def a_column_at(inst, p):
+        """The order of C columns with the a-column put at position p."""
+        return np.insert(np.arange(inst.n_v), p, inst.n_v)
+
+    def test_pass_that_takes_nothing(self):
+        # Visited first, the a-column's price is 0, so it is left out, and
+        # every later column is a C column.
+        inst = self.one_cell_instance()
         assert inst.n_v > online_solver._LOOKAHEAD
-        order = np.concatenate([[inst.n_v], np.arange(inst.n_v)])
-        x = assert_matches_walk(inst, order)
+        x = assert_matches_walk(inst, self.a_column_at(inst, 0))[0]
         assert x[inst.n_v:].sum() == 0 and x[:inst.n_v].all()
+
+    @pytest.mark.parametrize("lookahead", [5, 32, None])
+    def test_passes_leave_in_different_iterations(self, lookahead):
+        # One batch holds a pass that takes nothing, one that takes its last
+        # column, one whose take falls in the last, partial window, and two
+        # more; they need different numbers of windows.
+        inst = self.one_cell_instance()
+        with pytest.MonkeyPatch.context() as mp:
+            if lookahead is not None:
+                mp.setattr(online_solver, "_LOOKAHEAD", lookahead)
+            width = online_solver._LOOKAHEAD
+            last_start = (inst.n_cols - 1) // width * width
+            assert inst.n_cols - last_start < width
+            spots = [0, inst.n_cols - 1, (last_start + inst.n_cols - 1) // 2, 3, width]
+            orders = np.stack([self.a_column_at(inst, p) for p in spots])
+            xs = assert_matches_walk(inst, orders)
+        taken = xs[:, inst.n_v]
+        assert taken.tolist() == [0, 1, 1, 1, 1]
+        windows = [priced_windows(inst, o, x, width) for o, x in zip(orders, xs)]
+        take_stop = [next((stop for _, stop, take in w if take is not None), None)
+                     for w in windows]
+        assert take_stop[1] == take_stop[2] == inst.n_cols
+        assert len({len(w) for w in windows}) > 1
+
+    @pytest.mark.parametrize("lookahead", [1, 5, 32, None])
+    @pytest.mark.parametrize("n_runs", [1, 2, 5, 10])
+    def test_batch_rows_match_separate_walks(self, n_runs, lookahead):
+        spread = 0
+        with pytest.MonkeyPatch.context() as mp:
+            if lookahead is not None:
+                mp.setattr(online_solver, "_LOOKAHEAD", lookahead)
+            width = online_solver._LOOKAHEAD
+            for seed in range(4):
+                n_abs = 1 + seed % 3
+                _, _, _, inst = random_instance(
+                    seed + 500, n_abs=n_abs, n_cells=n_abs + 20 + 10 * seed,
+                    n_grids=10 + 8 * seed, n_gus=20 + 10 * seed, density=0.1,
+                    shared_pools=bool(seed & 1),
+                )
+                rng = np.random.default_rng([seed, 5])
+                orders = np.stack([rng.permutation(inst.n_cols) for _ in range(n_runs)])
+                xs = assert_matches_walk(inst, orders, iterates=False)
+                spread += len({len(priced_windows(inst, o, x, width))
+                               for o, x in zip(orders, xs)}) > 1
+        # A one-column window ends every pass after n_cols iterations.
+        assert n_runs == 1 or width == 1 or spread >= 2
 
     @pytest.mark.parametrize("lookahead", [3, None])
     def test_single_abs(self, lookahead):
