@@ -16,7 +16,8 @@ import numpy as np
 from .bilp import BilpInstance, Placement, covered_weight, make_placement
 from .errors import InfeasibleSetError, OracleCapError
 
-# Candidates scored per covered_weight call in ea_step; bounds its memory.
+# Rounds drawn per block and candidates scored per covered_weight call in
+# ea_step; bounds its memory.
 _EA_BLOCK = 256
 
 
@@ -173,10 +174,19 @@ def ea_step(
 
     Every candidate perturbs the input placement: each ABS cell is redrawn
     uniformly from the cells of its pool within ``mutation_radius`` of its
-    input cell, resampling a few times for distinctness and keeping the
-    input cell when that fails; a round whose cells still collide is
-    skipped. So drawing a candidate never depends on scoring one: the
-    candidates are drawn in order and scored ``_EA_BLOCK`` at a time in one
+    input cell, resampling up to eight times for distinctness and keeping
+    the input cell when that fails; a round whose cells still collide is
+    skipped. So drawing a candidate never depends on scoring one.
+
+    Rounds are drawn a block at a time. One ``integers`` call with an array
+    of pool sizes takes every ABS's first pick in each round of the block,
+    and consumes the stream exactly as the same scalar calls made in order
+    would; a round whose first picks are distinct is a candidate as drawn.
+    At the block's first round with a repeated pick the stream is rewound
+    to the block's start, the rounds before it are drawn again, and that
+    round alone runs the scalar resampling loop; the next block starts
+    after it. So every draw is the one the scalar loop alone would make.
+    Candidates are scored at most ``_EA_BLOCK`` at a time in one
     ``covered_weight`` call each, and the earliest candidate strictly better
     than the input and every candidate before it wins, as a one-by-one scan
     would pick. The unmutated incumbent is always in the running, so
@@ -185,7 +195,7 @@ def ea_step(
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
-    if mutation_radius < 0.0:
+    if not mutation_radius >= 0.0:
         raise ValueError("mutation_radius must be non-negative")
     rng = np.random.default_rng(seed)
     xy = instance.u_xy
@@ -201,28 +211,50 @@ def ea_step(
     for p, pool in zip(base, instance.per_abs_pos):
         d = np.hypot(*(xy[pool] - xy[p]).T)
         pools.append(pool[d <= mutation_radius].tolist())
+    sizes = np.array([len(pool) for pool in pools], dtype=np.int64)
+    # Row i holds ABS i's pool, padded: picks index it as (ABS, draw).
+    table = np.zeros((n, int(sizes.max())), dtype=np.int64)
+    for i, pool in enumerate(pools):
+        table[i, : len(pool)] = pool
 
     best_pos = base
     best_val = current.coverage_value
-    block: list[list[int]] = []
-    for r in range(rounds):
-        cand: list[int] = []
-        for i in range(n):
-            pos = base[i]
-            for _ in range(8):
-                pick = pools[i][rng.integers(len(pools[i]))]
-                if pick not in cand:
-                    pos = pick
-                    break
-            if pos in cand:
-                continue
-            cand.append(pos)
-        if len(cand) == n:
-            block.append(cand)
-        if block and (len(block) == _EA_BLOCK or r == rounds - 1):
-            vals = covered_weight(instance.z_sub, block, instance.weights)
+    cands = np.empty((_EA_BLOCK, n), dtype=np.int64)
+    held = r = 0
+    while r < rounds:
+        c = min(_EA_BLOCK - held, rounds - r)
+        start = rng.bit_generator.state
+        picks = table[np.arange(n), rng.integers(0, np.tile(sizes, c)).reshape(c, n)]
+        ordered = np.sort(picks, axis=1)
+        dup = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        clean = int(dup.argmax()) if dup.any() else c
+        cands[held : held + clean] = picks[:clean]
+        held += clean
+        r += clean
+        if clean < c:
+            # Rewind and redraw the clean rounds, then draw the repeated round anew.
+            rng.bit_generator.state = start
+            if clean:
+                rng.integers(0, np.tile(sizes, clean))
+            cand: list[int] = []
+            for i in range(n):
+                pos = base[i]
+                for _ in range(8):
+                    pick = pools[i][rng.integers(len(pools[i]))]
+                    if pick not in cand:
+                        pos = pick
+                        break
+                if pos in cand:
+                    continue
+                cand.append(pos)
+            if len(cand) == n:
+                cands[held] = cand
+                held += 1
+            r += 1
+        if held == _EA_BLOCK or (r == rounds and held):
+            vals = covered_weight(instance.z_sub, cands[:held], instance.weights)
             k = int(np.argmax(vals))
             if vals[k] > best_val:
-                best_pos, best_val = block[k], int(vals[k])
-            block = []
+                best_pos, best_val = cands[k].copy(), int(vals[k])
+            held = 0
     return make_placement(instance.u_ids[best_pos], best_val)

@@ -1,5 +1,7 @@
 """Exact-search and K-means/evolutionary baseline tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from absmove import (
 )
 
 import oracles
+import absmove.baselines as baselines
 from absmove.baselines import _EA_BLOCK
 from conftest import random_instance, synth_gcm
 
@@ -287,6 +290,29 @@ class TestEaStep:
         )
         assert (out.abs_cells, out.coverage_value) == (cells, value)
 
+    @classmethod
+    def assert_scores_sequential_candidates(cls, inst, start, **knobs):
+        """ea_step scores the very candidates the sequential loop scores, in
+        order (as their stacked z rows), and picks the same one."""
+        ours, theirs = [], []
+        score_one = oracles.coverage_value
+
+        def batched(z, rows, weights, cols=None):
+            ours.extend(z[r].tobytes() for r in np.asarray(rows))
+            return covered_weight(z, rows, weights, cols)
+
+        def one(z_rows, weights):
+            theirs.append(np.asarray(z_rows).tobytes())
+            return score_one(z_rows, weights)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(baselines, "covered_weight", batched)
+            m.setattr(oracles, "coverage_value", one)
+            cls.assert_matches_sequential(inst, start, **knobs)
+        first = next((k for k, pair in enumerate(zip(ours, theirs)) if pair[0] != pair[1]),
+                     min(len(ours), len(theirs)))
+        assert ours == theirs, f"candidate {first} differs from the sequential loop's"
+
     @pytest.mark.parametrize("n_abs", range(1, 6))
     @pytest.mark.parametrize("shared", [False, True])
     def test_matches_sequential_loop(self, n_abs, shared):
@@ -352,3 +378,140 @@ class TestEaStep:
         inst, start = self.make_setup(0)
         with pytest.raises(ValueError, match="mutation_radius"):
             ea_step(start, inst, rounds=1, mutation_radius=-1.0, seed=0)
+
+    @pytest.mark.parametrize("radius", [float("nan"), -1e-9])
+    def test_mutation_radius_nan_or_negative_rejected(self, radius):
+        inst, start = self.make_setup(0)
+        with pytest.raises(ValueError, match="mutation_radius must be non-negative"):
+            ea_step(start, inst, rounds=1, mutation_radius=radius, seed=0)
+
+    def test_infinite_radius_means_the_whole_pool(self):
+        for seed in range(3):
+            _, _, _, inst = random_instance(seed, n_abs=3, n_cells=7, shared_pools=True)
+            start = free_start(inst, seed)
+            knobs = dict(rounds=200, seed=seed)
+            out = ea_step(start, inst, mutation_radius=float("inf"), **knobs)
+            ref = ea_step(start, inst, mutation_radius=1e6, **knobs)
+            assert (out.abs_cells, out.coverage_value) == (ref.abs_cells, ref.coverage_value)
+            self.assert_matches_sequential(inst, start, mutation_radius=float("inf"), **knobs)
+
+    def test_matches_sequential_loop_at_zero_radius(self):
+        # Every pool is the start cell alone: the one candidate is the start.
+        for seed in range(3):
+            _, _, _, inst = random_instance(seed, n_abs=3, n_cells=8)
+            start = free_start(inst, seed)
+            out = ea_step(start, inst, rounds=300, mutation_radius=0.0, seed=seed)
+            assert out.abs_cells == start.abs_cells
+            self.assert_matches_sequential(inst, start, rounds=300, mutation_radius=0.0,
+                                           seed=seed)
+
+    def test_matches_sequential_loop_with_a_one_cell_pool(self):
+        # ABS 0 can only stay on cell 5. At full radius ABS 1's pool also
+        # holds it, so a first pick repeats it in about one round in eight;
+        # at 40 m the pools hold 1, 3 and 2 cells.
+        spec = GridSpec(d1=100.0, d2=100.0, k1=3, k2=3, k1p=3, k2p=3, abs_alt=90.0)
+        z = np.random.default_rng(7).random((9, 9)) < 0.4
+        gcm = synth_gcm(spec, z)
+        pools = [np.array(p, dtype=np.int64) for p in ([5], range(2, 10), [1, 2, 3])]
+        gu = spec.ground.centers[:, :2]
+        inst = assemble(gcm, pools, gu)
+        start = make_placement([5, 9, 1], evaluate_placement(gcm, [5, 9, 1], gu))
+        for seed in range(6):
+            for radius in (40.0, 1e6):
+                self.assert_matches_sequential(inst, start, rounds=2 * _EA_BLOCK + 5,
+                                               mutation_radius=radius, seed=seed)
+
+    @staticmethod
+    def first_repeat(inst, seed, rounds):
+        """The first round whose first picks repeat a cell, at full radius,
+        found by drawing every round's first picks in one call; exact as long
+        as no earlier round repeats. None when no round repeats."""
+        sizes = [len(pool) for pool in inst.per_abs_pos]
+        draws = np.random.default_rng(seed).integers(0, np.tile(sizes, rounds))
+        draws = draws.reshape(rounds, inst.n_abs)
+        picks = np.sort([pool[d] for pool, d in zip(inst.per_abs_pos, draws.T)], axis=0)
+        hit = np.flatnonzero((picks[1:] == picks[:-1]).any(axis=0))
+        return int(hit[0]) if hit.size else None
+
+    # Until the first repeated pick, draw blocks are the scoring blocks,
+    # rounds [0, B), [B, 2B), [2B, 3B) and so on, or a block cut short by
+    # the call's end, as at round 100 of a 101-round call; each edge is
+    # also run followed by a full block.
+    @pytest.mark.parametrize("where", [0, 100, _EA_BLOCK - 1, 2 * _EA_BLOCK - 1,
+                                       3 * _EA_BLOCK - 1])
+    def test_repeated_pick_at_a_block_edge(self, where):
+        # A wide shared pool repeats a pick about once in 250 rounds; find
+        # seeds whose first repeat falls on the first round, or on the last
+        # round of a draw block.
+        _, _, _, inst = random_instance(0, n_abs=2, n_cells=250, n_grids=16,
+                                        shared_pools=True, density=0.1)
+        start = free_start(inst, 0)
+        hits = (s for s in range(40_000) if self.first_repeat(inst, s, where + 1) == where)
+        seeds = list(itertools.islice(hits, 3))
+        assert len(seeds) == 3
+        for seed in seeds:
+            for rounds in (where + 1, where + 1 + _EA_BLOCK):
+                self.assert_scores_sequential_candidates(inst, start, rounds=rounds,
+                                                         mutation_radius=1e6, seed=seed)
+
+    @pytest.mark.parametrize("rounds", [_EA_BLOCK - 1, _EA_BLOCK + 1, 5 * _EA_BLOCK + 1])
+    def test_matches_sequential_loop_with_one_spare_cell(self, rounds):
+        for n_abs in (2, 4):
+            for seed in range(3):
+                _, _, _, inst = random_instance(seed, n_abs=n_abs, n_cells=n_abs + 1,
+                                                shared_pools=True)
+                self.assert_scores_sequential_candidates(inst, free_start(inst, seed),
+                                                         rounds=rounds, mutation_radius=1e6,
+                                                         seed=seed)
+
+    def test_scores_at_most_one_block_per_call(self, monkeypatch):
+        sizes = []
+
+        def recording(z, rows, weights, cols=None):
+            sizes.append(len(rows))
+            return covered_weight(z, rows, weights, cols)
+
+        monkeypatch.setattr(baselines, "covered_weight", recording)
+        for n_abs, n_cells in ((2, 3), (3, 40)):
+            _, _, _, inst = random_instance(1, n_abs=n_abs, n_cells=n_cells,
+                                            shared_pools=True)
+            start = free_start(inst, 1)
+            sizes.clear()
+            ea_step(start, inst, rounds=5 * _EA_BLOCK + 1, mutation_radius=1e6, seed=1)
+            assert sizes and max(sizes) <= _EA_BLOCK
+            assert sum(sizes) <= 5 * _EA_BLOCK + 1
+
+
+class TestArrayBoundDraws:
+    """ea_step draws a block of rounds with one ``integers`` call over an
+    array of bounds, and rewinds by restoring ``bit_generator.state``; its
+    outputs equal the scalar loop's only while both hold."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_array_of_bounds_draws_as_scalar_calls_in_order(self, seed):
+        rng = np.random.default_rng(seed)
+        highs = rng.integers(1, 300, size=40)
+        highs[rng.integers(0, 40, size=8)] = 1  # a bound of 1 draws nothing
+        scalar = np.random.default_rng([seed, 1])
+        vector = np.random.default_rng([seed, 1])
+        # An odd count of earlier 32-bit draws leaves half a 64-bit word buffered.
+        for g in (scalar, vector):
+            g.integers(7, size=seed % 4 * 2 + 1)
+        one_by_one = [scalar.integers(int(h)) for h in highs]
+        at_once = vector.integers(0, highs)
+        assert at_once.tolist() == one_by_one, (
+            "Generator.integers(0, highs) no longer draws as scalar calls made in order"
+        )
+        assert vector.integers(2**40, size=3).tolist() == scalar.integers(2**40, size=3).tolist(), (
+            "Generator.integers(0, highs) no longer leaves the stream where scalar calls do"
+        )
+
+    def test_restoring_the_state_replays_the_draws(self):
+        rng = np.random.default_rng(5)
+        rng.integers(9)  # half a 64-bit word buffered
+        state = rng.bit_generator.state
+        first = rng.integers(0, np.array([5, 1, 300, 2] * 10))
+        rng.bit_generator.state = state
+        assert rng.integers(0, np.array([5, 1, 300, 2] * 10)).tolist() == first.tolist(), (
+            "restoring bit_generator.state no longer replays the draws"
+        )
