@@ -20,6 +20,7 @@ from .channel import (
     ChannelParams,
     ModelValidityWarning,
     coverage_mask,
+    coverage_radii,
     db_to_linear,
     link_budget,
     outage_probability,

@@ -8,12 +8,16 @@ chain is written once: ``link_budget`` gives each link's mean SNR and K,
 ``outage_probability`` its outage, and ``coverage_mask`` the verdict. A
 call takes one transmitter for every link, or one per link, and receivers
 at one altitude. ``branch_verdicts`` gives each link's verdict for both LoS
-bits without a sightline test: the trial scores its links with it, and a
-map build its table of horizontal offsets.
+bits without a sightline test; a map build takes its table of horizontal
+offsets from it. With both altitudes fixed, each branch's verdict is a
+function of the horizontal length alone, and ``coverage_radii`` finds the
+length at which it switches: a trial reads most links' verdicts off the two
+radii (``radius_verdicts``) and runs the chain only on the rest.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
@@ -29,6 +33,13 @@ SPEED_OF_LIGHT = 299792458.0
 MIN_MODEL_DISTANCE = 10.0
 # Effective environment height of the urban-macro model, metres.
 _H_ENV = 1.0
+# Half-width (m) of the shell around each coverage radius whose links take
+# their verdicts from the chain rather than from the radius.
+RADIUS_SHELL = 0.01
+# Spacing (m) of the scan that finds where each verdict switches, and the
+# lengths it evaluates per chain call, which bounds its memory.
+_RADIUS_SCAN = 0.01
+_SCAN_BLOCK = 1 << 13
 
 
 class ModelValidityWarning(UserWarning):
@@ -95,6 +106,11 @@ def _caller_stacklevel() -> int:
     return level
 
 
+def _distance_3d(d2d, dz):
+    """3D length of links of horizontal length d2d and vertical drop dz."""
+    return np.sqrt(d2d * d2d + dz * dz)
+
+
 def _path_loss_db(params: ChannelParams, d2d, d3d, h_bs: float, h_ut: float):
     """Median urban-macro path loss in dB of the LoS and the NLoS branch, for
     broadcastable distance arrays."""
@@ -158,8 +174,12 @@ def outage_probability(params: ChannelParams, snr_mean, k):
 def _link_geometry(p, qs):
     """Horizontal length, vertical drop and both antenna heights of the links
     from p, one transmitter (3,) or one per link (n, 3), to the receivers qs.
-    Transmitters share one altitude, and so do receivers."""
+    Transmitters share one altitude, and so do receivers. With no links
+    there is no altitude to read: both heights are NaN, which the later
+    stages carry through on their empty arrays."""
     p, qs = link_endpoints(p, qs)
+    if qs.shape[0] == 0:
+        return np.zeros(0), np.zeros(0), math.nan, math.nan
     if np.ptp(qs[:, 2]) != 0.0:
         raise ValueError("links need a uniform receiver altitude")
     if p.ndim == 2 and np.ptp(p[:, 2]) != 0.0:
@@ -172,8 +192,7 @@ def _link_geometry(p, qs):
 def _branch_budgets(params: ChannelParams, d2d, dz, h_bs: float, h_ut: float):
     """Mean SNR of each link with LoS and without, and its LoS Rician K, all
     linear; K is zero without LoS."""
-    d3d = np.sqrt(d2d * d2d + dz * dz)
-    pl_los, pl_nlos = _path_loss_db(params, d2d, d3d, h_bs, h_ut)
+    pl_los, pl_nlos = _path_loss_db(params, d2d, _distance_3d(d2d, dz), h_bs, h_ut)
     snr_los = 10.0 ** ((params.snr_gap_db - pl_los) / 10.0)
     snr_nlos = 10.0 ** ((params.snr_gap_db - pl_nlos) / 10.0)
     k_los = params.a1 * np.exp(params.a2 * np.arctan2(dz, d2d))
@@ -209,11 +228,80 @@ def branch_verdicts(params: ChannelParams, p, qs):
     return covered[: snr_los.size], covered[snr_los.size :]
 
 
+def _verdicts_at(params: ChannelParams, d):
+    """``branch_verdicts`` of links of horizontal lengths d from an ABS at
+    the origin; each link's length is the float d itself."""
+    d = np.asarray(d, dtype=float)
+    qs = np.column_stack([d, np.zeros_like(d), np.full(d.shape, params.gu_alt)])
+    return branch_verdicts(params, (0.0, 0.0, params.abs_alt), qs)
+
+
+# A batch or a sweep holds a few channels; each entry is two floats.
+@functools.lru_cache(maxsize=64)
+def coverage_radii(params: ChannelParams, d_max: float) -> tuple[float, float] | None:
+    """Horizontal lengths (r_los, r_nlos) up to which each branch verdict
+    covers, found on the chain itself over lengths in [0, d_max]; or None.
+
+    The chain runs on a scan of lengths _RADIUS_SCAN apart. Where a verdict
+    switches from covered to not covered, bisection over the floats between
+    the two scan points finds the last covered float, which is the radius.
+    A verdict that covers every length gives +inf, and one that covers none
+    -inf. A verdict that switches more than once on the scan, or from not
+    covered to covered, gives None: then no radius describes it.
+    """
+    d = np.append(np.arange(0.0, d_max, _RADIUS_SCAN), d_max)
+    radii = []
+    with warnings.catch_warnings():
+        # Lengths under the model floor warn wherever a caller evaluates them.
+        warnings.simplefilter("ignore", ModelValidityWarning)
+        scan = np.hstack([_verdicts_at(params, d[i : i + _SCAN_BLOCK])
+                          for i in range(0, d.size, _SCAN_BLOCK)])
+        for branch, covered in enumerate(scan):
+            switch = np.flatnonzero(covered[1:] != covered[:-1])
+            if switch.size == 0:
+                radii.append(math.inf if covered[0] else -math.inf)
+                continue
+            if switch.size > 1 or not covered[0]:
+                return None
+            # Non-negative floats order as their bit patterns do.
+            lo, hi = (int(b) for b in d[switch[0] : switch[0] + 2].view(np.int64))
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if _verdicts_at(params, np.array([mid]).view(np.float64))[branch][0]:
+                    lo = mid
+                else:
+                    hi = mid
+            radii.append(float(np.array([lo]).view(np.float64)[0]))
+    return radii[0], radii[1]
+
+
+def radius_verdicts(params: ChannelParams, radii: tuple[float, float] | None, d2d,
+                    d_max: float):
+    """Both branch verdicts of links of horizontal lengths d2d, read off
+    ``coverage_radii(params, d_max)``, and the mask of links whose verdicts
+    must come from ``branch_verdicts`` instead.
+
+    The chain decides a link longer than d_max, within RADIUS_SHELL of a
+    radius, or under the model floor (so that the clamp warns for it), and
+    every link when ``radii`` is None. Elsewhere a link is covered on a
+    branch when its length is at most that branch's radius.
+    """
+    d2d = np.asarray(d2d, dtype=float)
+    if radii is None:
+        never = np.zeros(d2d.shape, dtype=bool)
+        return never, never.copy(), ~never
+    r_los, r_nlos = radii
+    chain = (
+        (d2d > d_max)
+        | (np.abs(d2d - r_los) <= RADIUS_SHELL)
+        | (np.abs(d2d - r_nlos) <= RADIUS_SHELL)
+        | (_distance_3d(d2d, params.abs_alt - params.gu_alt) < MIN_MODEL_DISTANCE)
+    )
+    return d2d <= r_los, d2d <= r_nlos, chain
+
+
 def coverage_mask(params: ChannelParams, env: Environment, p, qs) -> np.ndarray:
     """Full-chain coverage test of each link from p, one transmitter (3,) or
     one per link (n, 3), to qs: the ``link_budget`` of each link, then its
     outage against the threshold."""
-    qs = np.asarray(qs, dtype=float)
-    if qs.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
     return outage_probability(params, *link_budget(params, env, p, qs)) < params.outage_threshold

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import sys
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .channel import coverage_radii
 from .config import load_config, parse_experiment
 from .env import Environment, generate_environment
 from .errors import (
@@ -149,9 +151,26 @@ def cmd_validate_config(args) -> int:
           f"grids {spec.k1}x{spec.k2} (abs) / {spec.k1p}x{spec.k2p} (gu)")
     print(f"  fleet N={tc.n_abs} M={tc.n_gus}, movement radius {tc.movement_radius:.1f} m")
     print(f"  trial: {tc.n_steps} steps, {tc.n_periods} periods of {tc.steps_per_period}")
+    print(f"  coverage radii: {_radii_text(coverage_radii(tc.channel, spec.diagonal))}")
     print(f"  experiment: {len(exp.seeds)} seed(s), solvers {list(exp.solvers)}, "
           f"sweep {exp.sweep_axis or 'none'}")
     return 0
+
+
+def _radii_text(radii: tuple[float, float] | None) -> str:
+    """Horizontal reach of LoS and of NLoS coverage over the area's diagonal:
+    a length, "none" for a branch that covers nowhere, "whole area" for one
+    that covers everywhere, or "chain" when no radius describes the channel
+    and every link runs the chain."""
+    if radii is None:
+        return "chain"
+
+    def text(r: float) -> str:
+        if math.isinf(r):
+            return "whole area" if r > 0 else "none"
+        return f"{r:.2f} m"
+
+    return f"LoS {text(radii[0])}, NLoS {text(radii[1])}"
 
 
 def cmd_build_gcm(args) -> int:

@@ -199,12 +199,15 @@ def _azimuth_pairs(
     reach is compared with a relative _AZIMUTH_PAD margin, so every pair the
     exact test can find blocked is kept. A footprint whose closed square
     holds the transmitter's xy, or lies within rounding of it, spans every
-    azimuth. With one transmitter per link, each run of links from one
-    transmitter is an owner, and one sort serves every owner: a link's key
-    is its azimuth plus _OWNER_SPAN times its owner's index, and each
-    owner's intervals are shifted alike. Adding the same exact integer to
-    both sides of a comparison rounds monotonically, so the shifted keys
-    still only over-include.
+    azimuth. A (transmitter, block) cell whose footprint lies beyond the
+    transmitter's longest link, by that same margin, is dropped before its
+    azimuths are computed: the reach test would drop each of its pairs.
+    With one transmitter per link, each run of links from one transmitter is
+    an owner, and one sort serves every owner: a link's key is its azimuth
+    plus _OWNER_SPAN times its owner's index, and each owner's intervals are
+    shifted alike. Adding the same exact integer to both sides of a
+    comparison rounds monotonically, so the shifted keys still only
+    over-include.
     """
     origin = _columns(p)
     dx = qs[:, 0] - origin[0]
@@ -212,34 +215,40 @@ def _azimuth_pairs(
     azimuth = np.arctan2(dy, dx)
     reach = np.hypot(dx, dy)
     if p.ndim == 1:
-        tx, owner = p[None], None
+        tx, owner, longest = p[None], None, reach.max(keepdims=True)
     else:
         new = np.r_[True, (p[1:] != p[:-1]).any(axis=1)]
         tx, owner = p[new], np.cumsum(new) - 1
+        longest = np.maximum.reduceat(reach, np.flatnonzero(new))
         azimuth = azimuth + _OWNER_SPAN * owner
     order = np.argsort(azimuth, kind="stable")
     sorted_az = azimuth[order]
 
-    # One row per transmitter, one column per block. Corner azimuths as
-    # offsets from the centre's: a footprint away from the transmitter spans
-    # less than pi, so each offset wraps at most once.
+    # Distance from each transmitter (row) to each footprint (column). The
+    # pad covers rounding that is small against that distance; nearer than
+    # this, the block takes every link of its owner (every azimuth, but no
+    # other owner's keys).
     px, py = tx[:, 0:1], tx[:, 1:2]
-    mid = np.arctan2(0.5 * (mins[1] + maxs[1]) - py, 0.5 * (mins[0] + maxs[0]) - px)
-    corner_x = np.stack([mins[0], maxs[0], maxs[0], mins[0]])[:, None, :]
-    corner_y = np.stack([mins[1], mins[1], maxs[1], maxs[1]])[:, None, :]
+    gap_x = np.maximum(np.maximum(mins[0] - px, px - maxs[0]), 0.0)
+    gap_y = np.maximum(np.maximum(mins[1] - py, py - maxs[1]), 0.0)
+    near = np.hypot(gap_x, gap_y)
+    around = near <= 1e-5 * (1.0 + np.abs(px) + np.abs(py))
+    near[around] = 0.0
+    # One cell per (transmitter t, block b) that the longest link reaches.
+    t, b = np.nonzero(longest[:, None] >= near * (1.0 - _AZIMUTH_PAD))
+    near, around = near[t, b], around[t, b]
+
+    # Corner azimuths as offsets from the centre's: a footprint away from
+    # the transmitter spans less than pi, so each offset wraps at most once.
+    px, py, bmin, bmax = tx[t, 0], tx[t, 1], mins[:, b], maxs[:, b]
+    mid = np.arctan2(0.5 * (bmin[1] + bmax[1]) - py, 0.5 * (bmin[0] + bmax[0]) - px)
+    corner_x = np.stack([bmin[0], bmax[0], bmax[0], bmin[0]])
+    corner_y = np.stack([bmin[1], bmin[1], bmax[1], bmax[1]])
     off = np.arctan2(corner_y - py, corner_x - px) - mid
     off = (off + np.pi) % (2.0 * np.pi) - np.pi
     lo = mid + np.minimum(np.minimum(off[0], off[1]), np.minimum(off[2], off[3])) - _AZIMUTH_PAD
     hi = mid + np.maximum(np.maximum(off[0], off[1]), np.maximum(off[2], off[3])) + _AZIMUTH_PAD
-    gap_x = np.maximum(np.maximum(mins[0] - px, px - maxs[0]), 0.0)
-    gap_y = np.maximum(np.maximum(mins[1] - py, py - maxs[1]), 0.0)
-    near = np.hypot(gap_x, gap_y)
-    # The pad covers rounding that is small against the distance to the
-    # footprint; nearer than this, the block takes every link of its owner
-    # (every azimuth, but no other owner's keys).
-    around = near <= 1e-5 * (1.0 + np.abs(px) + np.abs(py))
-    lo[around], hi[around], near[around] = -4.0, 4.0, 0.0
-    lo, hi, near, around = lo.ravel(), hi.ravel(), near.ravel(), around.ravel()
+    lo[around], hi[around] = -4.0, 4.0
 
     # An interval that crosses the +-pi seam gets a copy shifted by 2 pi,
     # which holds its part on the other side.
@@ -249,7 +258,7 @@ def _azimuth_pairs(
     lo = np.concatenate([lo, lo[wraps] + shift[wraps]])
     hi = np.concatenate([hi, hi[wraps] + shift[wraps]])
     if owner is not None:
-        base = _OWNER_SPAN * (cell // mins.shape[1])
+        base = _OWNER_SPAN * t[cell]
         lo, hi = lo + base, hi + base
     start = np.searchsorted(sorted_az, lo, "left")
     stop = np.searchsorted(sorted_az, hi, "right")
@@ -259,8 +268,7 @@ def _azimuth_pairs(
     im = order[np.arange(piece.size) + (start - first)[piece]]
     cell = cell[piece]
     keep = reach[im] >= near[cell] * (1.0 - _AZIMUTH_PAD)
-    im, cell = im[keep], cell[keep]
-    ib = cell if owner is None else cell % mins.shape[1]
+    im, ib = im[keep], b[cell[keep]]
     origin = origin if owner is None else origin[:, im]
     seg_lo = np.minimum(origin, qs.T[:, im])
     seg_hi = np.maximum(origin, qs.T[:, im])

@@ -103,6 +103,11 @@ class GridSpec:
         if self.abs_alt <= 0.0:
             raise ValueError("abs_alt must be positive")
 
+    @property
+    def diagonal(self) -> float:
+        """Longest horizontal distance between two points of the area."""
+        return math.hypot(self.d1, self.d2)
+
     @cached_property
     def traversal(self) -> Plane:
         """The ABS plane, at the flight altitude."""

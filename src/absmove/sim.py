@@ -13,10 +13,14 @@ previous period flies to, and the users never read the fleet, so
 period from those paths, flies the fleet to the plans, then scores both
 coverage modes from the two position arrays. "Simplified" coverage snaps each
 distinct ABS position to its grid cell once and reads the connectivity map
-for all steps at once. "Actual" coverage evaluates the full channel chain at
-the continuous positions, in one call per (period, ABS) over that ABS's J
-steps and the M users. Each call takes both branch verdicts of every link,
-and only the links whose two verdicts differ go through ``coverage_mask``.
+for all steps at once. "Actual" coverage decides the full channel chain at
+the continuous positions, period by period. Each link's two branch
+verdicts are read off the channel's coverage radii by its horizontal
+length, and the chain gives them only for the links the radii cannot
+decide. A user that some ABS covers on both branches is covered at that
+step. For the others, each ABS's links whose two verdicts differ go
+through ``coverage_mask``, sightline test included, in one call per
+(period, ABS).
 
 Every solver is one ``SOLVERS`` entry: how it plans, and which trials it
 cannot run.
@@ -34,7 +38,14 @@ import numpy as np
 
 from .baselines import ea_step, exact_optimum, kmeans_centroids, kmeans_init
 from .bilp import assemble, feasible_sets
-from .channel import ChannelParams, ModelValidityWarning, branch_verdicts, coverage_mask
+from .channel import (
+    ChannelParams,
+    ModelValidityWarning,
+    branch_verdicts,
+    coverage_mask,
+    coverage_radii,
+    radius_verdicts,
+)
 from .env import Environment, check_layout, obstructed_mask
 from .errors import ConfigError, ContractViolationError, InfeasibleSetError
 from .gcm import Gcm, GridSpec, nearest_valid_abs_cell
@@ -474,33 +485,46 @@ def _actual_cr(cfg: TrialConfig, environment: Environment, abs_steps: np.ndarray
     """Per-step share of users some ABS covers through the full channel
     chain; (I, N, 3) ABS and (I, M, 2) user positions in.
 
-    Each (period, ABS) is one call over that ABS's J steps and the M users,
-    in step order, with one transmitter per link: J*M links, and a hover
-    run is one run of equal transmitters. A call takes both branch
-    verdicts of every link (``branch_verdicts``); only the band of links
-    whose two verdicts differ goes through ``coverage_mask``, sightline test
-    included, in a call made even when the band is empty. Every stage is
-    elementwise per link, so the verdicts are those of per-step calls. The
-    verdicts warn once per call for the links under the model floor, and the
-    band call under them does not warn again, so each clamped link is
-    counted once.
+    Each period holds N*J*M links, one per (ABS, step, user). Their two
+    branch verdicts come from ``radius_verdicts``: a comparison of each
+    link's horizontal length, computed as the chain computes it, with the
+    channel's ``coverage_radii`` over the area's diagonal. The links it
+    leaves to the chain (near a radius, beyond the diagonal, under the model
+    floor, or all of them when the radii are None) take ``branch_verdicts``
+    in one call per period, which warns once for the links under the floor.
+    A (step, user) pair that some ABS covers on both branches is covered.
+    Then each ABS in turn sends its links whose two verdicts differ, and
+    whose pair is still undecided, through ``coverage_mask`` (sightline test
+    included, clamp warning silenced), in step order with one transmitter
+    per link; the call is made even when it has no links. Every stage is
+    elementwise per link, so the verdicts are those of per-step calls.
     """
     i_total, n, _ = abs_steps.shape
     m, j_steps = gu_steps.shape[1], cfg.steps_per_period
-    gu3 = np.concatenate([gu_steps, np.full((i_total, m, 1), cfg.channel.gu_alt)], axis=2)
-    hit = np.zeros((i_total, n, m), dtype=bool)
+    params = cfg.channel
+    d_max = cfg.spec.diagonal
+    radii = coverage_radii(params, d_max)
+    gu3 = np.concatenate([gu_steps, np.full((i_total, m, 1), params.gu_alt)], axis=2)
+    covered = np.zeros((i_total, m), dtype=bool)
     for first in range(0, i_total, j_steps):
         steps = slice(first, first + j_steps)
-        qs = gu3[steps].reshape(-1, 3)
+        # (N, J, M, 3) views of each link's transmitter and receiver.
+        ps = np.broadcast_to(abs_steps[steps].swapaxes(0, 1)[:, :, None], (n, j_steps, m, 3))
+        qs = np.broadcast_to(gu3[steps], ps.shape)
+        d2d = np.hypot(qs[..., 0] - ps[..., 0], qs[..., 1] - ps[..., 1])
+        covered_los, covered_nlos, chain = radius_verdicts(params, radii, d2d, d_max)
+        if chain.any():
+            covered_los[chain], covered_nlos[chain] = branch_verdicts(params, ps[chain],
+                                                                      qs[chain])
+        sure = (covered_los & covered_nlos).any(axis=0)
+        band = covered_los != covered_nlos
         for k in range(n):
-            ps = np.repeat(abs_steps[steps, k], m, axis=0)
-            covered_los, covered = branch_verdicts(cfg.channel, ps, qs)
-            band = covered_los != covered
+            ask = band[k] & ~sure
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ModelValidityWarning)
-                covered[band] = coverage_mask(cfg.channel, environment, ps[band], qs[band])
-            hit[steps, k] = covered.reshape(-1, m)
-    return hit.any(axis=1).mean(axis=1)
+                sure[ask] = coverage_mask(params, environment, ps[k][ask], qs[k][ask])
+        covered[steps] = sure
+    return covered.mean(axis=1)
 
 
 def validate_trial_log(log: TrialLog, gcm: Gcm | None = None) -> None:

@@ -5,11 +5,11 @@ formulas and first principles, avoiding the package's own code paths: path
 loss as literal scalar arithmetic, Marcum Q through the noncentral chi-square
 tail, line of sight by dense segment sampling, and the optimizers by plain
 enumeration or an LP solver. Tests compare package outputs against these.
-Four references instead keep a simpler form of a package routine: the
-fixing pass as a literal column walk, the map build as the full chain on
-every link, the trial as one loop that moves, flies, plans and scores
-step by step, and the evolutionary step as one loop that scores each
-candidate as it is drawn.
+Five references instead keep a simpler form of a package routine: the
+fixing pass as a literal column walk, the sightline gather without its
+reach prune, the map build as the full chain on every link, the trial as
+one loop that moves, flies, plans and scores step by step, and the
+evolutionary step as one loop that scores each candidate as it is drawn.
 """
 
 from __future__ import annotations
@@ -154,6 +154,95 @@ def sampled_blocked_robust(env, p, q, n_samples: int = 10_000,
     if hi != lo:
         return None
     return hi
+
+
+# ---------------------------------------------------------------------------
+# Azimuth gather without its reach prune
+
+
+def unpruned_azimuth_pairs(
+    p: np.ndarray, qs: np.ndarray, mins: np.ndarray, maxs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(link, block) index pairs where the link's azimuth from its transmitter
+    lies in the block footprint's azimuth interval from there, the link
+    reaches the footprint, and the bounding boxes overlap strictly.
+
+    Over-includes by design: intervals are widened by _AZIMUTH_PAD rad and
+    reach is compared with a relative _AZIMUTH_PAD margin, so every pair the
+    exact test can find blocked is kept. A footprint whose closed square
+    holds the transmitter's xy, or lies within rounding of it, spans every
+    azimuth. With one transmitter per link, each run of links from one
+    transmitter is an owner, and one sort serves every owner: a link's key
+    is its azimuth plus _OWNER_SPAN times its owner's index, and each
+    owner's intervals are shifted alike. Adding the same exact integer to
+    both sides of a comparison rounds monotonically, so the shifted keys
+    still only over-include.
+
+    The package's gather before it dropped, ahead of the corner azimuths,
+    every (transmitter, block) cell beyond the transmitter's longest link.
+    """
+    from absmove.env import _AZIMUTH_PAD, _OWNER_SPAN, _columns, _overlap
+
+    origin = _columns(p)
+    dx = qs[:, 0] - origin[0]
+    dy = qs[:, 1] - origin[1]
+    azimuth = np.arctan2(dy, dx)
+    reach = np.hypot(dx, dy)
+    if p.ndim == 1:
+        tx, owner = p[None], None
+    else:
+        new = np.r_[True, (p[1:] != p[:-1]).any(axis=1)]
+        tx, owner = p[new], np.cumsum(new) - 1
+        azimuth = azimuth + _OWNER_SPAN * owner
+    order = np.argsort(azimuth, kind="stable")
+    sorted_az = azimuth[order]
+
+    # One row per transmitter, one column per block. Corner azimuths as
+    # offsets from the centre's: a footprint away from the transmitter spans
+    # less than pi, so each offset wraps at most once.
+    px, py = tx[:, 0:1], tx[:, 1:2]
+    mid = np.arctan2(0.5 * (mins[1] + maxs[1]) - py, 0.5 * (mins[0] + maxs[0]) - px)
+    corner_x = np.stack([mins[0], maxs[0], maxs[0], mins[0]])[:, None, :]
+    corner_y = np.stack([mins[1], mins[1], maxs[1], maxs[1]])[:, None, :]
+    off = np.arctan2(corner_y - py, corner_x - px) - mid
+    off = (off + np.pi) % (2.0 * np.pi) - np.pi
+    lo = mid + np.minimum(np.minimum(off[0], off[1]), np.minimum(off[2], off[3])) - _AZIMUTH_PAD
+    hi = mid + np.maximum(np.maximum(off[0], off[1]), np.maximum(off[2], off[3])) + _AZIMUTH_PAD
+    gap_x = np.maximum(np.maximum(mins[0] - px, px - maxs[0]), 0.0)
+    gap_y = np.maximum(np.maximum(mins[1] - py, py - maxs[1]), 0.0)
+    near = np.hypot(gap_x, gap_y)
+    # The pad covers rounding that is small against the distance to the
+    # footprint; nearer than this, the block takes every link of its owner
+    # (every azimuth, but no other owner's keys).
+    around = near <= 1e-5 * (1.0 + np.abs(px) + np.abs(py))
+    lo[around], hi[around], near[around] = -4.0, 4.0, 0.0
+    lo, hi, near, around = lo.ravel(), hi.ravel(), near.ravel(), around.ravel()
+
+    # An interval that crosses the +-pi seam gets a copy shifted by 2 pi,
+    # which holds its part on the other side.
+    shift = np.where(lo < -np.pi, 2.0 * np.pi, np.where(hi > np.pi, -2.0 * np.pi, 0.0))
+    wraps = np.flatnonzero((shift != 0.0) & ~around)
+    cell = np.concatenate([np.arange(lo.size), wraps])
+    lo = np.concatenate([lo, lo[wraps] + shift[wraps]])
+    hi = np.concatenate([hi, hi[wraps] + shift[wraps]])
+    if owner is not None:
+        base = _OWNER_SPAN * (cell // mins.shape[1])
+        lo, hi = lo + base, hi + base
+    start = np.searchsorted(sorted_az, lo, "left")
+    stop = np.searchsorted(sorted_az, hi, "right")
+    count = stop - start
+    first = np.cumsum(count) - count
+    piece = np.repeat(np.arange(count.size), count)
+    im = order[np.arange(piece.size) + (start - first)[piece]]
+    cell = cell[piece]
+    keep = reach[im] >= near[cell] * (1.0 - _AZIMUTH_PAD)
+    im, cell = im[keep], cell[keep]
+    ib = cell if owner is None else cell % mins.shape[1]
+    origin = origin if owner is None else origin[:, im]
+    seg_lo = np.minimum(origin, qs.T[:, im])
+    seg_hi = np.maximum(origin, qs.T[:, im])
+    keep = _overlap(seg_lo, seg_hi, mins[:, ib], maxs[:, ib])
+    return im[keep], ib[keep]
 
 
 # ---------------------------------------------------------------------------

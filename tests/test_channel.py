@@ -11,16 +11,22 @@ from absmove import (
     ChannelParams,
     Environment,
     ModelValidityWarning,
+    SolverConfig,
     coverage_mask,
+    coverage_radii,
     db_to_linear,
     is_los,
     link_budget,
     los_blocked_mask,
     outage_probability,
+    run_trial,
 )
-from absmove.channel import SPEED_OF_LIGHT, branch_verdicts
+import absmove.channel as channel
+import absmove.sim as sim
+from absmove.channel import RADIUS_SHELL, SPEED_OF_LIGHT, branch_verdicts, radius_verdicts
 
 import oracles
+from test_sim import assert_same_log, tiny_cfg
 
 # Hand-checked against the published formulas: ABS 90 m / GU 1 m / 2 GHz,
 # 3D distance exactly 500 m (horizontal 492.0152436662913 m).
@@ -335,6 +341,112 @@ class TestCoverage:
         p = np.array([250.0, 250.0, 90.0])
         qs = np.column_stack([rng.uniform(0, 500, (30, 2)), np.full(30, 1.0)])
         assert coverage_mask(params, empty_env, p, qs).all()
+
+
+class TestZeroLinks:
+    @pytest.mark.parametrize("p", [(250.0, 250.0, 90.0), np.zeros((0, 3))],
+                             ids=["one-transmitter", "per-link"])
+    def test_every_link_function_takes_zero_links(self, params, city_env, p):
+        qs = np.zeros((0, 3))
+        snr, k = link_budget(params, city_env, p, qs)
+        assert snr.shape == k.shape == (0,)
+        masks = (*branch_verdicts(params, p, qs), coverage_mask(params, city_env, p, qs),
+                 los_blocked_mask(city_env, p, qs))
+        for mask in masks:
+            assert mask.dtype == bool and mask.shape == (0,)
+
+
+def _bits_around(r: float, ulps: int) -> np.ndarray:
+    """The 2 * ulps + 1 floats nearest r, r in the middle."""
+    return (np.array([r]).view(np.int64) + np.arange(-ulps, ulps + 1)).view(np.float64)
+
+
+# (channel, longest length, radii to 2 decimals): the default 1000 m map,
+# the -7 dBm family map of 500 m, and h_UT = 1.5 m, where d'_BP is about
+# 1187 m, over 2 km and over the 500 m map, where LoS covers every length.
+RADII = [
+    pytest.param({}, math.hypot(1000.0, 1000.0), (501.33, 113.39), id="default"),
+    pytest.param({"tx_power_dbm": -7.0}, math.hypot(500.0, 500.0), (269.27, -math.inf),
+                 id="family"),
+    pytest.param({"gu_alt": 1.5}, 2000.0, (1510.75, 117.02), id="gu-alt-1.5"),
+    pytest.param({"gu_alt": 1.5}, math.hypot(500.0, 500.0), (math.inf, 117.02),
+                 id="breakpoint-above-0"),
+]
+
+
+class TestCoverageRadii:
+    @pytest.mark.parametrize("kw, d_max, want", RADII)
+    def test_radii(self, kw, d_max, want):
+        radii = coverage_radii(ChannelParams(**kw), d_max)
+        assert tuple(r if math.isinf(r) else round(r, 2) for r in radii) == want
+        assert coverage_radii(ChannelParams(**kw), d_max) is radii  # cached
+
+    @pytest.mark.parametrize("kw, d_max, want", RADII)
+    def test_comparison_is_the_chain(self, kw, d_max, want):
+        # Lengths on a dense grid, 10^4 ulps either side of each radius,
+        # and random links in the plane.
+        params = ChannelParams(**kw)
+        r_los, r_nlos = radii = coverage_radii(params, d_max)
+        rng = np.random.default_rng(1)
+        lengths = [np.linspace(0.0, d_max, 200_001)]
+        lengths += [_bits_around(r, 10**4) for r in radii if math.isfinite(r)]
+        d = np.concatenate(lengths)
+        qs = np.column_stack([d, np.zeros_like(d), np.full(d.size, params.gu_alt)])
+        ends = rng.uniform(0.0, d_max / math.sqrt(2.0), (2, 50_000, 2))
+        ps = np.column_stack([ends[0], np.full(50_000, params.abs_alt)])
+        qs_2d = np.column_stack([ends[1], np.full(50_000, params.gu_alt)])
+        for p, q, length in (
+            ((0.0, 0.0, params.abs_alt), qs, d),
+            (ps, qs_2d, np.hypot(ends[1, :, 0] - ends[0, :, 0], ends[1, :, 1] - ends[0, :, 1])),
+        ):
+            covered_los, covered_nlos = branch_verdicts(params, p, q)
+            assert np.array_equal(covered_los, length <= r_los)
+            assert np.array_equal(covered_nlos, length <= r_nlos)
+            by_radius_los, by_radius_nlos, chain = radius_verdicts(params, radii, length, d_max)
+            assert np.array_equal(by_radius_los, covered_los)
+            assert np.array_equal(by_radius_nlos, covered_nlos)
+            near = np.min([np.abs(length - r) for r in radii], axis=0) <= RADIUS_SHELL
+            assert np.array_equal(chain, near)
+
+    def test_links_the_chain_decides(self, params):
+        d_max = 1000.0
+        radii = coverage_radii(params, d_max)
+        r_los, r_nlos = radii
+        d = np.array([0.0, r_nlos - 0.02, r_nlos, r_nlos + 0.005, r_los - 1.0, r_los,
+                      d_max, np.nextafter(d_max, np.inf)])
+        _, _, chain = radius_verdicts(params, radii, d, d_max)
+        assert chain.tolist() == [False, False, True, True, False, True, False, True]
+        # Under the 10 m floor: an ABS at 5 m sees lengths below about 9.17 m
+        # clamped.
+        low = ChannelParams(abs_alt=5.0)
+        _, _, chain = radius_verdicts(low, coverage_radii(low, 20.0), [9.1, 9.2], 20.0)
+        assert chain.tolist() == [True, False]
+        covered_los, covered_nlos, chain = radius_verdicts(params, None, d, d_max)
+        assert chain.all() and not (covered_los | covered_nlos).any()
+
+    def test_verdicts_with_more_than_one_switch_have_no_radii(self, monkeypatch):
+        # A stand-in for the chain whose verdicts are plain functions of
+        # the length: the exact radius is found, and a verdict that switches
+        # twice, or from not covered to covered, gives None.
+        shapes = {
+            "one": (lambda d: d <= 123.456, lambda d: np.zeros(d.shape, dtype=bool)),
+            "twice": (lambda d: d <= 100.0, lambda d: (d <= 50.0) | ((d > 70.0) & (d < 80.0))),
+            "rising": (lambda d: d <= 100.0, lambda d: d > 40.0),
+        }
+        got = {}
+        for name, (los, nlos) in shapes.items():
+            monkeypatch.setattr(channel, "branch_verdicts",
+                                lambda params, p, qs, los=los, nlos=nlos: (los(qs[:, 0]),
+                                                                           nlos(qs[:, 0])))
+            got[name] = coverage_radii.__wrapped__(ChannelParams(), 200.0)
+        assert got == {"one": (123.456, -math.inf), "twice": None, "rising": None}
+
+    def test_trial_without_radii_gives_the_same_log(self, city_env, city_gcm, spec20,
+                                                    monkeypatch):
+        cfg = tiny_cfg(spec=spec20, n_gus=30, solver=SolverConfig(name="online"))
+        want = run_trial(cfg, city_env, city_gcm)
+        monkeypatch.setattr(sim, "coverage_radii", lambda params, d_max: None)
+        assert_same_log(run_trial(cfg, city_env, city_gcm), want)
 
 
 class TestParamValidation:

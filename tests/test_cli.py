@@ -56,6 +56,21 @@ class TestValidateConfig:
         assert cli.main(["validate-config", str(cfg)]) == 0
         assert "config ok" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("channel, radii", [
+        ({}, "LoS whole area, NLoS 113.39 m"),  # LoS reaches past the 283 m diagonal
+        ({"tx_power_dbm": -7.0}, "LoS 269.27 m, NLoS none"),
+        ({"tx_power_dbm": 60.0}, "LoS whole area, NLoS whole area"),
+    ])
+    def test_prints_the_coverage_radii(self, tmp_path, capsys, channel, radii):
+        cfg = write_cfg(tmp_path / "s.yaml", channel=channel)
+        assert cli.main(["validate-config", str(cfg)]) == 0
+        assert f"  coverage radii: {radii}\n" in capsys.readouterr().out
+
+    def test_prints_chain_without_radii(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "coverage_radii", lambda params, d_max: None)
+        assert cli.main(["validate-config", str(write_cfg(tmp_path / "s.yaml"))]) == 0
+        assert "  coverage radii: chain\n" in capsys.readouterr().out
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         assert cli.main(["validate-config", str(tmp_path / "nope.yaml")]) == 3
         assert "io error" in capsys.readouterr().err

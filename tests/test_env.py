@@ -17,7 +17,7 @@ from absmove import (
 import absmove.env as env_module
 from absmove.env import _azimuth_pairs, _blocked_by_pairs, _box_pairs
 
-from oracles import sampled_blocked, sampled_blocked_robust
+from oracles import sampled_blocked, sampled_blocked_robust, unpruned_azimuth_pairs
 
 
 def one_block_env(height: float = 50.0) -> Environment:
@@ -298,6 +298,42 @@ class TestCandidatePaths:
         got = both_paths(touch, p, [(-40.0, 50.0, 1.0), (-40.0, 50.5, 1.0),
                                     (-40.0, 49.5, 1.0)])
         assert got.tolist() == [False, True, False]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_reach_prune_keeps_every_pair(self, seed):
+        # Calls of several transmitters: away from blocks, over a footprint
+        # (every azimuth), on its corner, and off one face by 10 m. Each has
+        # a link of zero reach (straight down) and short or long links; the
+        # face transmitter's longest link ends on that face, so its reach is
+        # exactly the footprint's distance.
+        rng = np.random.default_rng(seed)
+        env = generate_environment(400.0, 400.0, 40, 25.0, (20.0, 100.0), seed=seed)
+        mins, maxs = env._box_bounds
+        block = env.blocks[0]
+        tops = [rng.uniform(0, 400, 2), np.asarray(block.center_xy),
+                np.add(block.center_xy, block.half_width)]
+        receivers = []
+        for xy in tops:
+            spread = rng.choice([2.0, 20.0, 60.0, 400.0])
+            receivers.append(xy + rng.uniform(-spread, spread, (int(rng.integers(2, 30)), 2)))
+        face = np.array([block.center_xy[0] - block.half_width, block.center_xy[1]])
+        tops.append(face - (10.0, 0.0))
+        receivers.append(np.vstack([face, tops[-1] + rng.uniform(-5.0, 5.0, (8, 2))]))
+        ps, qs = [], []
+        for xy, q in zip(tops, receivers):
+            q = np.vstack([xy, q])
+            ps.append(np.tile((*xy, 90.0), (len(q), 1)))
+            qs.append(np.column_stack([q, np.full(len(q), 1.5)]))
+
+        def pairs(gather, p, q):
+            return sorted(zip(*(a.tolist() for a in gather(p, q, mins, maxs))))
+
+        # Each transmitter alone, as (3,) and as one row per link, then all
+        # of them in one call.
+        calls = [(p[0], q) for p, q in zip(ps, qs)] + list(zip(ps, qs))
+        calls.append((np.concatenate(ps), np.concatenate(qs)))
+        for p, q in calls:
+            assert pairs(_azimuth_pairs, p, q) == pairs(unpruned_azimuth_pairs, p, q)
 
     def test_links_ending_at_the_nearest_distance(self):
         env = one_block_env(height=50.0)

@@ -441,48 +441,72 @@ class TestAgainstStepwise:
         assert 0.0 < log.acr_actual < 1.0
 
     @pytest.mark.parametrize("tx_power_dbm", [5.0, 60.0])
-    def test_one_call_per_period_and_abs(self, tiny_env, monkeypatch, tx_power_dbm):
+    def test_one_call_per_period_and_abs(self, tiny_env, tx_power_dbm):
         # Still users and one optimum: after the first flight the fleet
         # never moves again, so a hover run would span several periods. At
         # 60 dBm every link is covered with LoS and without, so every band
-        # is empty.
+        # is empty. On this 200 m scene no link comes within the radius
+        # shell, so the radii decide every link and the chain never runs;
+        # without radii it runs once per period over all N*J*M links.
         cfg = tiny_cfg(gu_speed=0.0, solver=SolverConfig(name="oracle"), plan_before_start=True,
                        channel=ChannelParams(tx_power_dbm=tx_power_dbm))
         gcm = build_gcm(tiny_env, cfg.channel, cfg.spec)
-        calls, band, verdicts_, coverage_mask_ = [], [], sim.branch_verdicts, sim.coverage_mask
-
-        def recording_verdicts(params, p, qs):
-            calls.append((np.array(p), np.array(qs)))
-            return verdicts_(params, p, qs)
-
-        def recording_coverage_mask(params, env, p, qs):
-            assert np.shape(p) == (len(qs), 3)
-            band.append(len(qs))
-            return coverage_mask_(params, env, p, qs)
-
-        monkeypatch.setattr(sim, "branch_verdicts", recording_verdicts)
-        monkeypatch.setattr(sim, "coverage_mask", recording_coverage_mask)
-        log = run_trial(cfg, tiny_env, gcm)
         j, f, m, n = cfg.steps_per_period, cfg.flight_steps, cfg.n_gus, cfg.n_abs
-        held = log.abs_positions[f:]
-        assert (held == held[0]).all() and (log.abs_positions[0] != held[0]).any(axis=1).all()
-        # One verdict call per (period, ABS), in that order, over the ABS's
-        # J steps and the M users in step order: J*M links, one transmitter
-        # per link.
-        assert len(calls) == cfg.n_periods * n
-        for c, (p, qs) in enumerate(calls):
-            e, k = divmod(c, n)
-            steps = slice(e * j + 1, (e + 1) * j + 1)
-            assert p.shape == qs.shape == (j * m, 3)
-            assert np.array_equal(p, np.repeat(log.abs_positions[steps, k], m, axis=0))
-            assert np.array_equal(qs[:, :2], log.gu_positions[steps].reshape(-1, 2))
-            assert (qs[:, 2] == cfg.channel.gu_alt).all()
-        # One band call under each, so the traced site fires even on an
-        # empty band.
-        assert len(band) == len(calls)
-        assert any(band) == (tx_power_dbm == 5.0)
-        monkeypatch.undo()
-        assert_same_log(log, oracles.stepwise_trial(cfg, tiny_env, gcm))
+        verdicts_, coverage_mask_ = sim.branch_verdicts, sim.coverage_mask
+        want = oracles.stepwise_trial(cfg, tiny_env, gcm)
+        for radii in (True, False):
+            calls, band = [], []
+
+            def recording_verdicts(params, p, qs):
+                calls.append((np.array(p), np.array(qs)))
+                return verdicts_(params, p, qs)
+
+            def recording_coverage_mask(params, env, p, qs):
+                assert np.shape(p) == (len(qs), 3)
+                band.append((np.array(p), np.array(qs)))
+                return coverage_mask_(params, env, p, qs)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sim, "branch_verdicts", recording_verdicts)
+                mp.setattr(sim, "coverage_mask", recording_coverage_mask)
+                if not radii:
+                    mp.setattr(sim, "coverage_radii", lambda params, d_max: None)
+                log = run_trial(cfg, tiny_env, gcm)
+            held = log.abs_positions[f:]
+            assert (held == held[0]).all() and (log.abs_positions[0] != held[0]).any(axis=1).all()
+            if radii:
+                assert calls == []
+            else:
+                # One chain call per period over its links in (ABS, step,
+                # user) order, one transmitter per link.
+                assert len(calls) == cfg.n_periods
+                for e, (p, qs) in enumerate(calls):
+                    steps = slice(e * j + 1, (e + 1) * j + 1)
+                    assert p.shape == qs.shape == (n * j * m, 3)
+                    want_p = np.repeat(log.abs_positions[steps].swapaxes(0, 1), m, axis=1)
+                    assert np.array_equal(p, want_p.reshape(-1, 3))
+                    want_q = np.tile(log.gu_positions[steps].reshape(-1, 2), (n, 1))
+                    assert np.array_equal(qs[:, :2], want_q)
+                    assert (qs[:, 2] == cfg.channel.gu_alt).all()
+            # One band call per (period, ABS), in that order, made even on
+            # an empty band, so the traced site fires. Each holds links of
+            # that ABS in that period whose two verdicts differ, and whose
+            # user no ABS covers on both branches at that step. (Still
+            # users and a held fleet repeat links; a repeat has the same
+            # verdicts.)
+            assert len(band) == cfg.n_periods * n
+            for c, (p, qs) in enumerate(band):
+                e, k = divmod(c, n)
+                fleet = log.abs_positions[e * j + 1 : (e + 1) * j + 1]
+                users = np.concatenate([log.gu_positions[e * j + 1 : (e + 1) * j + 1],
+                                        np.full((j, m, 1), cfg.channel.gu_alt)], axis=2)
+                for tx, q in zip(p, qs):
+                    step = np.flatnonzero((fleet[:, k] == tx).all(axis=1)
+                                          & (users == q).all(axis=2).any(axis=1))[0]
+                    los, nlos = verdicts_(cfg.channel, fleet[step], np.tile(q, (n, 1)))
+                    assert los[k] != nlos[k] and not (los & nlos).any()
+            assert any(len(qs) for _, qs in band) == (tx_power_dbm == 5.0)
+            assert_same_log(log, want)
 
 
 class TestFlightContracts:
